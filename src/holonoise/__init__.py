@@ -7,7 +7,7 @@ common component through Welch cross-spectra with calibrated detection
 statistics.  See the README for the command-line interface.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .constants import CONSTANTS, PhysicalConstants, codata_constants
 from .detection import (
@@ -16,7 +16,7 @@ from .detection import (
     null_significance,
     predicted_snr,
 )
-from .errors import DomainError, SynthesisError, UnreachableTargetError
+from .errors import DomainError, UnreachableTargetError
 from .model import (
     HUBBLE_RADIUS,
     SECONDS_PER_YEAR,
@@ -65,7 +65,6 @@ __all__ = [
     "SECONDS_PER_YEAR",
     "SlitSetup",
     "SpectralEstimate",
-    "SynthesisError",
     "TimeSeriesPair",
     "UnreachableTargetError",
     "XcorrEstimate",

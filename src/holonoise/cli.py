@@ -44,7 +44,8 @@ from .synthesis import ExperimentConfig, TimeSeriesPair, synthesize_pair
 
 PRNG_IDENTIFIER = (
     "philox4x64 counter-based; substreams via "
-    "SeedSequence(seed, spawn_key=(stream_id,)); common=0 shot1=1 shot2=2"
+    "SeedSequence(seed, spawn_key=(stream_id,)); "
+    "common=0 (Brownian-difference moving sum) shot1=1 shot2=2"
 )
 
 ENV_OUTPUT_DIR = "HOLONOISE_OUTPUT_DIR"
@@ -128,6 +129,17 @@ def _read_csv(path: Path) -> tuple[dict, np.ndarray]:
     except ValueError as exc:
         raise DomainError(f"malformed CSV {path}: {exc}") from exc
     return meta, data
+
+
+def _header_value(meta: dict, key: str, path: Path, kind=float, default=None):
+    """Header field ``key`` parsed as ``kind``; a malformed value is a DomainError."""
+    if key not in meta:
+        return default
+    try:
+        return kind(meta[key])
+    except ValueError as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise DomainError(f"{path}: header {key} = {meta[key]!r} is not {expected}") from exc
 
 
 def _sha256(path: Path) -> str:
@@ -217,11 +229,11 @@ def _estimate_from_csv(path: Path) -> SpectralEstimate:
         psd2=data[:, 2],
         csd=data[:, 3] + 1j * data[:, 4],
         coherence=data[:, 5],
-        n_avg=int(meta["n_avg"]),
-        segment_length=int(meta["segment_length"]),
-        overlap=float(meta["overlap"]),
+        n_avg=_header_value(meta, "n_avg", path, int),
+        segment_length=_header_value(meta, "segment_length", path, int),
+        overlap=_header_value(meta, "overlap", path),
         window=meta["window"],
-        sample_rate=float(meta["sample_rate_hz"]),
+        sample_rate=_header_value(meta, "sample_rate_hz", path),
     )
 
 
@@ -374,7 +386,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    meta, data = _read_csv(Path(args.timeseries))
+    path = Path(args.timeseries)
+    meta, data = _read_csv(path)
     if data.shape[1] not in (3, 4):
         raise DomainError(
             f"timeseries file must have columns time,ch1,ch2[,common]; found {data.shape[1]}"
@@ -382,12 +395,21 @@ def cmd_analyze(args) -> int:
     if args.sample_rate is not None:
         fs = args.sample_rate
     elif "sample_rate_hz" in meta:
-        fs = float(meta["sample_rate_hz"])
+        fs = _header_value(meta, "sample_rate_hz", path)
     else:
-        times = data[:, 0]
-        fs = 1.0 / float(times[1] - times[0])
-    segment_length = args.segment_length or int(meta.get("segment_length", 8192))
-    overlap = args.overlap if args.overlap is not None else float(meta.get("overlap", 0.5))
+        step = float(data[1, 0] - data[0, 0]) if len(data) > 1 else 0.0
+        if not step > 0.0:
+            raise DomainError(
+                f"{path}: cannot infer the sample rate without a sample_rate_hz header "
+                "and two increasing time values; pass --sample-rate"
+            )
+        fs = 1.0 / step
+    segment_length = args.segment_length or _header_value(
+        meta, "segment_length", path, int, 8192
+    )
+    overlap = args.overlap if args.overlap is not None else _header_value(
+        meta, "overlap", path, float, 0.5
+    )
     common = data[:, 3] if data.shape[1] == 4 else np.zeros(len(data))
     pair = TimeSeriesPair(sample_rate=fs, ch1=data[:, 1], ch2=data[:, 2], common=common)
     estimate = welch_csd(pair, segment_length, overlap)

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .errors import DomainError, UnreachableTargetError
 from .model import HolographicModel, psd_model
@@ -151,6 +150,8 @@ def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) ->
     levels.  Reduces to P1 P2 / (2 K B) per the classic result for a
     rectangular window without overlap.
     """
+    from scipy.signal import get_window
+
     length = estimate.segment_length
     window = get_window(estimate.window, length, fftbins=True)
     step = length - int(round(length * estimate.overlap))

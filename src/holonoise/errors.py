@@ -5,9 +5,5 @@ class DomainError(ValueError):
     """A physically or numerically invalid argument or configuration."""
 
 
-class SynthesisError(RuntimeError):
-    """The covariance embedding failed (negative eigenvalue beyond tolerance)."""
-
-
 class UnreachableTargetError(DomainError):
     """A requested detection target cannot be met (e.g. zero signal in band)."""

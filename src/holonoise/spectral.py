@@ -4,7 +4,9 @@ Thin, contract-pinning wrappers around scipy.signal's Welch machinery:
 one-sided densities with window-power normalization (a flat input returns
 its ASD^2 level), Hann window and 50% overlap by default, per-segment mean
 removal, and an explicit segment count ``n_avg`` so downstream detection
-statistics know exactly how much averaging went in.
+statistics know exactly how much averaging went in.  ``scipy.signal`` is
+imported inside the functions that use it, so importing the package (and
+running the CLI commands that need no spectra) does not pay for it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 from .errors import DomainError
 from .synthesis import TimeSeriesPair
@@ -97,10 +98,12 @@ def welch_psd(
     SpectralEstimate
         With psd1 = psd2 = the PSD, csd real, coherence identically 1.
     """
+    from scipy import signal
+
     series = np.asarray(series, dtype=float)
     _check_segmenting(len(series), segment_length, overlap)
     noverlap = int(round(segment_length * overlap))
-    freqs, psd = _signal.welch(
+    freqs, psd = signal.welch(
         series,
         fs=sample_rate,
         window=window,
@@ -139,6 +142,8 @@ def welch_csd(
     averaged spectra and clipped to [0, 1]; bins with zero PSD product get
     coherence 0.
     """
+    from scipy import signal
+
     n = pair.n_samples
     _check_segmenting(n, segment_length, overlap)
     noverlap = int(round(segment_length * overlap))
@@ -152,9 +157,9 @@ def welch_csd(
         scaling="density",
         average="mean",
     )
-    freqs, psd1 = _signal.welch(pair.ch1, **kwargs)
-    _, psd2 = _signal.welch(pair.ch2, **kwargs)
-    _, csd = _signal.csd(pair.ch1, pair.ch2, **kwargs)
+    freqs, psd1 = signal.welch(pair.ch1, **kwargs)
+    _, psd2 = signal.welch(pair.ch2, **kwargs)
+    _, csd = signal.csd(pair.ch1, pair.ch2, **kwargs)
     denom = psd1 * psd2
     coherence = np.zeros_like(psd1)
     np.divide(np.abs(csd) ** 2, denom, out=coherence, where=denom > 0.0)
@@ -180,6 +185,8 @@ def xcorr(pair: TimeSeriesPair, max_lag: float) -> XcorrEstimate:
     1/(n - |k|) unbiased normalization, evaluated on the sample-lag grid.
     max_lag may not exceed a quarter of the series duration.
     """
+    from scipy import signal
+
     n = pair.n_samples
     dt = 1.0 / pair.sample_rate
     if not math.isfinite(max_lag) or max_lag <= 0.0:
@@ -194,7 +201,7 @@ def xcorr(pair: TimeSeriesPair, max_lag: float) -> XcorrEstimate:
     x = pair.ch1 - pair.ch1.mean()
     y = pair.ch2 - pair.ch2.mean()
     # full correlation c[n - 1 + k] = sum_t x[t] y[t + k]
-    full = _signal.correlate(y, x, mode="full", method="fft")
+    full = signal.correlate(y, x, mode="full", method="fft")
     k = np.arange(-kmax, kmax + 1)
     xcov = full[n - 1 + k[0] : n + k[-1]] / (n - np.abs(k))
     return XcorrEstimate(lags=k * dt, xcov=xcov, n=n)

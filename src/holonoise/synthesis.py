@@ -6,13 +6,16 @@ two instruments, and an independent white shot-noise floor:
     ch_i = sqrt(holo_scale) * common + shot_i
 
 The common component is a stationary Gaussian series with the triangular
-autocovariance of `HolographicModel`, generated exactly by circulant
-embedding: the sampled autocovariance is wrapped onto a circle large enough
-that the wrap-around never overlaps the triangle support, the embedding
-eigenvalues come from one FFT of that row, and filtered complex white noise
-transforms back into a real series with the target covariance.  For the
-triangular kernel the eigenvalues are non-negative up to roundoff; anything
-below ``-1e-9 * sigma2`` aborts with `SynthesisError`.
+autocovariance of `HolographicModel`, sigma2 * max(0, 1 - |tau| / tau_c).
+That triangle is exactly the covariance of a scaled Brownian difference,
+sqrt(sigma2 / tau_c) * [B(t) - B(t - tau_c)], so the series is an exact
+moving sum of independent Gaussian increments.  In sample units the window
+is S = sample_rate * tau_c = q + r samples long (q an integer, 0 <= r < 1);
+splitting every unit interval at r gives a grid on which each window is a
+whole number of pieces, q + 1 of length r and q of length 1 - r.  One
+cumulative sum and one difference produce every sample in O(n) time and
+memory, and the covariance is the sampled triangle by construction: no
+embedding, eigenvalue check or FFT is involved.
 
 All randomness is drawn from counter-based Philox generators keyed by
 ``SeedSequence(seed, spawn_key=(stream_id,))``, so the common and the two
@@ -28,16 +31,13 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import DomainError, SynthesisError
-from .model import HolographicModel, autocorrelation
+from .errors import DomainError
+from .model import HolographicModel
 
 #: Stream identifiers for the per-run Philox substreams.
 STREAM_COMMON = 0
 STREAM_SHOT1 = 1
 STREAM_SHOT2 = 2
-
-#: Relative tolerance on negative embedding eigenvalues.
-EIGENVALUE_TOLERANCE = 1e-9
 
 
 def generator(seed: int, stream_id: int) -> np.random.Generator:
@@ -151,6 +151,37 @@ class TimeSeriesPair:
         return self.n_samples / self.sample_rate
 
 
+def window_split(model: HolographicModel, sample_rate: float) -> tuple[int, float]:
+    """The correlation window S = sample_rate * tau_c as (q, r), S = q + r."""
+    s = sample_rate * model.tau_c
+    q = math.floor(s)
+    return q, s - q
+
+
+def brownian_difference(
+    draws: np.ndarray, model: HolographicModel, sample_rate: float
+) -> np.ndarray:
+    """Linear map from standard-normal draws to the triangular-ACF series.
+
+    ``draws`` has shape (2, n + q), with q from `window_split`; row 0 feeds
+    the r-long Brownian pieces and row 1 the (1 - r)-long ones.  The array is
+    overwritten.  Sample k is the Brownian increment over [k - r, k + q]:
+    the r-piece ending at k plus the q unit intervals after it, scaled so the
+    variance is sigma2.
+    """
+    q, r = window_split(model, sample_rate)
+    n = draws.shape[1] - q
+    unit = model.sigma2 / (q + r)
+    b, u = draws
+    b *= math.sqrt(r * unit)
+    u *= math.sqrt((1.0 - r) * unit)
+    u += b                       # u[j]: the whole interval [j - 1, j]
+    np.cumsum(u, out=u)
+    x = u[q:] - u[:n]            # intervals (k, k + q]
+    x += b[:n]                   # plus the piece [k - r, k]
+    return x
+
+
 def synthesize_common(
     model: HolographicModel, sample_rate: float, n: int, seed: int
 ) -> np.ndarray:
@@ -171,7 +202,7 @@ def synthesize_common(
     -------
     numpy.ndarray
         Zero-mean Gaussian series whose autocovariance equals the sampled
-        triangle exactly (circulant embedding is not approximate).
+        triangle exactly (the moving sum is not an approximation).
     """
     if sample_rate * model.tau_c < 4.0:
         raise DomainError(
@@ -184,29 +215,9 @@ def synthesize_common(
             f"n = {n} too short: need at least twice the correlation support "
             f"({2 * support} samples)"
         )
-    # Embedding period: wrap-around must stay clear of the triangle support.
-    m_embed = 1 << int(math.ceil(math.log2(n + support + 1)))
-    idx = np.arange(m_embed)
-    circular_lag = np.minimum(idx, m_embed - idx) / sample_rate
-    row = autocorrelation(model, circular_lag)
-    eig = np.fft.fft(row).real
-    del row, circular_lag, idx
-    worst = float(eig.min())
-    if worst < -EIGENVALUE_TOLERANCE * model.sigma2:
-        raise SynthesisError(
-            f"embedding eigenvalue {worst:.3e} below tolerance "
-            f"{-EIGENVALUE_TOLERANCE * model.sigma2:.3e}"
-        )
-    np.clip(eig, 0.0, None, out=eig)
-    np.sqrt(eig, out=eig)
-    rng = generator(seed, STREAM_COMMON)
-    z = rng.standard_normal(m_embed) + 1j * rng.standard_normal(m_embed)
-    z *= eig
-    del eig
-    x = np.fft.fft(z).real
-    del z
-    x *= 1.0 / math.sqrt(m_embed)
-    return x[:n].copy()
+    q, _ = window_split(model, sample_rate)
+    draws = generator(seed, STREAM_COMMON).standard_normal((2, n + q))
+    return brownian_difference(draws, model, sample_rate)
 
 
 def white_noise(

@@ -1,8 +1,9 @@
 """End-to-end tests of the command-line interface.
 
 Everything runs in-process through ``main(argv)`` so exit codes and file
-outputs are asserted directly; one smoke test exercises the installed
-console script if present.  Simulation configs are kept small (2^15
+outputs are asserted directly, except the checks that need a fresh
+interpreter (no traceback on stderr, what ``import holonoise.cli`` loads);
+one smoke test exercises the installed console script if present.  Simulation configs are kept small (2^15
 samples) so the whole module stays under a few seconds.
 """
 
@@ -10,12 +11,14 @@ import json
 import math
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import holonoise
 from holonoise import CONSTANTS, ExperimentConfig, HolographicModel
-from holonoise.cli import ENV_OUTPUT_DIR, load_config, main
+from holonoise.cli import ENV_OUTPUT_DIR, PRNG_IDENTIFIER, load_config, main
 
 SMALL_CONFIG = {
     "arm_length": 40.0,
@@ -34,6 +37,11 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SMALL_CONFIG))
     return path
+
+
+def run_python(*args):
+    """Run a fresh interpreter, which inherits how this one finds holonoise."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120)
 
 
 def read_csv(path):
@@ -158,7 +166,10 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
 
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["config"] == SMALL_CONFIG
+    assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
+    assert "common=0 (Brownian-difference moving sum)" in manifest["prng"]
+    assert manifest["version"] == holonoise.__version__ == "0.2.0"
     import hashlib
 
     for name, digest in manifest["outputs"].items():
@@ -262,6 +273,31 @@ def test_analyze_rejects_malformed_csv(tmp_path):
     assert main(["analyze", "--timeseries", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("field,value", [("n_avg", "1023.5"), ("segment_length", "1024.0")])
+def test_detect_rejects_non_integer_header(tmp_path, field, value):
+    header = {"sample_rate_hz": "5e7", "segment_length": "1024", "overlap": "0.5",
+              "window": "hann", "n_avg": "63"}
+    header[field] = value
+    bad = tmp_path / "spectra.csv"
+    bad.write_text(
+        "".join(f"# {k} = {v}\n" for k, v in header.items()) + "0,1,1,0,0,1\n"
+    )
+    proc = run_python("-m", "holonoise.cli", "detect", "--estimate", str(bad),
+                      "--band", "0:1e6")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr
+
+
+def test_analyze_one_row_without_sample_rate(tmp_path):
+    bad = tmp_path / "timeseries.csv"
+    bad.write_text("# columns: time_s,ch1_m,ch2_m\n0,1e-15,2e-15\n")
+    proc = run_python("-m", "holonoise.cli", "analyze", "--timeseries", str(bad))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "sample rate" in proc.stderr
+
+
 def test_detect_rejects_bad_band(tmp_path, config_path):
     rundir = tmp_path / "run"
     assert main(["simulate", "--config", str(config_path),
@@ -291,6 +327,16 @@ def test_load_config_round_trip(tmp_path):
     path.write_text(json.dumps(SMALL_CONFIG))
     cfg = load_config(path)
     assert cfg == ExperimentConfig(**SMALL_CONFIG)
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # constants, info, predict and slits never need spectra, so starting the
+    # CLI must not pay for scipy.signal's import.
+    proc = run_python(
+        "-c", "import sys, holonoise.cli; print('scipy.signal' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_smoke():

@@ -27,7 +27,9 @@ from holonoise.synthesis import (
     STREAM_COMMON,
     STREAM_SHOT1,
     STREAM_SHOT2,
+    brownian_difference,
     generator,
+    window_split,
 )
 
 FS = 5e7
@@ -189,6 +191,21 @@ def test_common_rejects_undersampling(model40):
 def test_common_rejects_short_series(model40):
     with pytest.raises(DomainError, match="too short"):
         synthesize_common(model40, FS, 16, seed=0)
+
+
+@pytest.mark.parametrize("fs", [2.5e7, 5e7, 7.3e7, 1e8])
+def test_common_linear_map_covariance_is_the_triangle(model40, fs):
+    # The sampler is linear in its standard-normal draws, x = A z, so its
+    # covariance is A A^T exactly.  Build A column by column from unit draws
+    # and compare with the Toeplitz triangle; S = fs tau_c runs over 6.67,
+    # 13.34, 19.48 and 26.69, so both the whole and fractional parts vary.
+    n = 64
+    q, _ = window_split(model40, fs)
+    unit_draws = np.eye(2 * (n + q)).reshape(-1, 2, n + q)
+    a = np.column_stack([brownian_difference(z, model40, fs) for z in unit_draws])
+    lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / fs
+    target = autocorrelation(model40, lags)
+    assert np.max(np.abs(a @ a.T - target)) <= 1e-12 * model40.sigma2
 
 
 def test_common_exact_small_case_covariance(model40):
