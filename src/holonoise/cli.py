@@ -100,6 +100,12 @@ def _write_text(path: Path | None, text: str) -> None:
         path.write_text(text)
 
 
+def _format_rows(rows: np.ndarray, prefix: str = "") -> list[str]:
+    """One CSV line per row of a 2-D float array, each value at 17 digits."""
+    template = prefix + ",".join(["%.17g"] * rows.shape[1])
+    return [template % tuple(row) for row in rows.tolist()]
+
+
 def _csv_text(meta: dict, columns: list[str], rows: np.ndarray) -> str:
     lines = [f"# holonoise v{__version__}"]
     for key, val in meta.items():
@@ -107,8 +113,7 @@ def _csv_text(meta: dict, columns: list[str], rows: np.ndarray) -> str:
             val = _fmt(val)
         lines.append(f"# {key} = {val}")
     lines.append("# columns: " + ",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(_format_rows(rows))
     return "\n".join(lines) + "\n"
 
 
@@ -223,17 +228,38 @@ def _estimate_from_csv(path: Path) -> SpectralEstimate:
         raise DomainError(f"spectra file {path} lacks header fields: {', '.join(missing)}")
     if data.shape[1] != 6:
         raise DomainError(f"spectra file {path} must have 6 columns, found {data.shape[1]}")
+    n_avg = _header_value(meta, "n_avg", path, int)
+    segment_length = _header_value(meta, "segment_length", path, int)
+    overlap = _header_value(meta, "overlap", path)
+    sample_rate = _header_value(meta, "sample_rate_hz", path)
+    # The rows must be the whole Welch grid the header describes, so a file
+    # cut short or with an edited header is refused rather than trusted.
+    if len(data) != segment_length // 2 + 1:
+        raise DomainError(
+            f"spectra file {path} has {len(data)} rows; segment_length = "
+            f"{segment_length} needs {segment_length // 2 + 1}"
+        )
+    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
+        raise DomainError(
+            f"spectra file {path}: sample_rate_hz = {sample_rate!r} is not a positive rate"
+        )
+    grid = np.fft.rfftfreq(segment_length, 1.0 / sample_rate)
+    if not np.allclose(data[:, 0], grid, rtol=1e-12, atol=0.0):
+        raise DomainError(
+            f"spectra file {path}: frequency column is not the Welch grid "
+            f"rfftfreq({segment_length}, 1/{_fmt(sample_rate)})"
+        )
     return SpectralEstimate(
         freqs=data[:, 0],
         psd1=data[:, 1],
         psd2=data[:, 2],
         csd=data[:, 3] + 1j * data[:, 4],
         coherence=data[:, 5],
-        n_avg=_header_value(meta, "n_avg", path, int),
-        segment_length=_header_value(meta, "segment_length", path, int),
-        overlap=_header_value(meta, "overlap", path),
+        n_avg=n_avg,
+        segment_length=segment_length,
+        overlap=overlap,
         window=meta["window"],
-        sample_rate=_header_value(meta, "sample_rate_hz", path),
+        sample_rate=sample_rate,
     )
 
 
@@ -260,10 +286,8 @@ def cmd_predict(args) -> int:
         "# psd convention: one-sided, integrates to sigma2_m2",
         "# columns: quantity,x,value",
     ]
-    for lag, val in zip(lags, acf):
-        lines.append(f"acf,{_fmt(lag)},{_fmt(val)}")
-    for freq, val in zip(freqs, psd):
-        lines.append(f"psd,{_fmt(freq)},{_fmt(val)}")
+    lines.extend(_format_rows(np.column_stack([lags, acf]), "acf,"))
+    lines.extend(_format_rows(np.column_stack([freqs, psd]), "psd,"))
     _write_text(Path(args.output) if args.output else None, "\n".join(lines) + "\n")
     return 0
 

@@ -8,10 +8,13 @@ Gaussian once ``n_avg >= 30`` segments are averaged.
 The null variance is computed exactly for the Welch estimator actually
 used, from the window sequence itself: overlapping segments are correlated,
 adjacent frequency bins are correlated through the window transform, and
-each per-bin real part carries half the P1*P2 product.  For a Hann window
-at 50% overlap these effects net out to about 1.14x the naive
-``P1 P2 / n_avg`` per-bin count, which matters when the z-scores are
-required to be standard normal.
+each per-bin real part carries half the P1*P2 product.  Against the naive
+``P1 P2 / (2 n_avg B)`` for a band of B bins, a Hann window at 50% overlap
+inflates the variance to ``1 + 2 (K - 1) / K * (1/6)^2`` (about 1.056 at
+K = n_avg = 1023) for a single bin, 1/6 being the window's correlation with
+itself shifted by half a segment, and to about 2.11 for a 1000-bin band,
+where neighbouring bins share the window transform.  That matters when the
+z-scores are required to be standard normal.
 
 Band selection excludes the first two bins (per-segment mean removal biases
 the DC-adjacent bin through the window transform) and the Nyquist bin; the
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, UnreachableTargetError
 from .model import HolographicModel, psd_model
-from .spectral import SpectralEstimate
+from .spectral import SpectralEstimate, window_sequence
 
 #: Minimum averages for the Gaussian-statistics regime.
 MIN_AVERAGES = 30
@@ -150,10 +153,8 @@ def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) ->
     levels.  Reduces to P1 P2 / (2 K B) per the classic result for a
     rectangular window without overlap.
     """
-    from scipy.signal import get_window
-
     length = estimate.segment_length
-    window = get_window(estimate.window, length, fftbins=True)
+    window = window_sequence(estimate.window, length)
     step = length - int(round(length * estimate.overlap))
     n_avg = estimate.n_avg
     n_bins = len(idx)

@@ -48,11 +48,14 @@ class HolographicModel:
     def from_baseline(cls, L: float) -> "HolographicModel":
         _require_length(L)
         k = CONSTANTS
-        return cls(
-            L=L,
-            sigma2=L * k.c * k.t_P / math.sqrt(4.0 * math.pi),
-            tau_c=2.0 * L / k.c,
-        )
+        sigma2 = L * k.c * k.t_P / math.sqrt(4.0 * math.pi)
+        tau_c = 2.0 * L / k.c
+        if not all(math.isfinite(v) and v > 0.0 for v in (sigma2, tau_c)):
+            raise DomainError(
+                f"arm length L = {L!r} m is out of range: tau_c = 2L/c = {tau_c!r} s "
+                f"and sigma2 = {sigma2!r} m^2 must be finite and positive"
+            )
+        return cls(L=L, sigma2=sigma2, tau_c=tau_c)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Welch spectral estimation and cross-covariance for channel pairs.
 
-Thin, contract-pinning wrappers around scipy.signal's Welch machinery:
-one-sided densities with window-power normalization (a flat input returns
-its ASD^2 level), Hann window and 50% overlap by default, per-segment mean
-removal, and an explicit segment count ``n_avg`` so downstream detection
-statistics know exactly how much averaging went in.  ``scipy.signal`` is
-imported inside the functions that use it, so importing the package (and
-running the CLI commands that need no spectra) does not pay for it.
+One numpy pass yields the auto- and cross-spectra of a pair: the series is
+cut into strided segment views, and chunks of ``SEGMENT_CHUNK`` segments at
+a time have their means removed, are windowed and go through one ``rfft``
+per channel, whose ``|X1|^2``, ``|X2|^2`` and ``conj(X1) X2`` are summed.
+The sums carry scipy.signal's one-sided density scaling (Welch 1967;
+Heinzel, Ruediger & Schilling 2002): a flat input returns its ASD^2 level,
+and DC and Nyquist are not doubled.  Hann window and 50% overlap are the
+defaults, and the explicit segment count ``n_avg`` tells downstream
+detection statistics exactly how much averaging went in.  Only a window
+other than Hann, and `xcorr`, import ``scipy.signal``, inside the function
+that needs it, so the CLI never pays for that import.
 """
 
 from __future__ import annotations
@@ -15,9 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .synthesis import TimeSeriesPair
+
+#: Segments windowed and transformed per FFT call; bounds the working memory.
+SEGMENT_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,66 @@ def _check_segmenting(n: int, segment_length: int, overlap: float) -> None:
         raise DomainError(f"overlap must lie in [0, 0.75], got {overlap!r}")
 
 
+def hann_window(length: int) -> np.ndarray:
+    """Periodic Hann window, bit-identical to scipy's ``get_window("hann", length)``."""
+    fac = np.linspace(-np.pi, np.pi, length + 1)
+    return (0.5 + 0.5 * np.cos(fac))[:-1]
+
+
+def window_sequence(window: str, length: int) -> np.ndarray:
+    """The periodic (FFT-bin) window ``window`` of ``length`` samples."""
+    if window == "hann":
+        return hann_window(length)
+    from scipy.signal import get_window
+
+    try:
+        return get_window(window, length, fftbins=True)
+    except ValueError as exc:
+        raise DomainError(f"unknown window {window!r}: {exc}") from exc
+
+
+def _welch(channels, sample_rate, segment_length, overlap, window, detrend):
+    """One-pass Welch spectra of one channel or a pair.
+
+    Returns (freqs, n_avg, psds, csd): one PSD per channel and, for a pair,
+    the conj(X1) * X2 cross spectrum (None for a single channel).
+    """
+    if not (detrend is False or detrend == "constant"):
+        raise DomainError(f"detrend must be 'constant' or False, got {detrend!r}")
+    n = len(channels[0])
+    _check_segmenting(n, segment_length, overlap)
+    n_avg = segment_count(n, segment_length, overlap)
+    step = segment_length - int(round(segment_length * overlap))
+    win = window_sequence(window, segment_length)
+    n_freq = segment_length // 2 + 1
+
+    segments = [
+        sliding_window_view(np.ascontiguousarray(ch, dtype=float), segment_length)[::step][:n_avg]
+        for ch in channels
+    ]
+    power = [np.zeros(n_freq) for _ in channels]
+    cross = np.zeros(n_freq, dtype=complex)
+    for start in range(0, n_avg, SEGMENT_CHUNK):
+        spectra = []
+        for seg, acc in zip(segments, power):
+            chunk = seg[start : start + SEGMENT_CHUNK]
+            if detrend:
+                chunk = chunk - chunk.mean(axis=-1, keepdims=True)
+            spec = np.fft.rfft(chunk * win)
+            acc += (spec.real**2 + spec.imag**2).sum(axis=0)
+            spectra.append(spec)
+        if len(spectra) == 2:
+            cross += (spectra[0].conj() * spectra[1]).sum(axis=0)
+
+    # One-sided density: every bin but DC and Nyquist carries both signs.
+    scale = np.full(n_freq, 2.0 / (sample_rate * float(np.dot(win, win)) * n_avg))
+    scale[0] /= 2.0
+    scale[-1] /= 2.0
+    freqs = np.fft.rfftfreq(segment_length, 1.0 / sample_rate)
+    csd = cross * scale if len(channels) == 2 else None
+    return freqs, n_avg, [acc * scale for acc in power], csd
+
+
 def welch_psd(
     series: np.ndarray,
     sample_rate: float,
@@ -90,29 +158,16 @@ def welch_psd(
         Fractional segment overlap in [0, 0.75].
     window : str, optional
         Window name understood by scipy.signal.get_window.
-    detrend : str or False, optional
-        Per-segment detrending; the default removes each segment's mean.
+    detrend : "constant" or False, optional
+        The default removes each segment's mean; False leaves segments as is.
 
     Returns
     -------
     SpectralEstimate
         With psd1 = psd2 = the PSD, csd real, coherence identically 1.
     """
-    from scipy import signal
-
-    series = np.asarray(series, dtype=float)
-    _check_segmenting(len(series), segment_length, overlap)
-    noverlap = int(round(segment_length * overlap))
-    freqs, psd = signal.welch(
-        series,
-        fs=sample_rate,
-        window=window,
-        nperseg=segment_length,
-        noverlap=noverlap,
-        detrend=detrend,
-        return_onesided=True,
-        scaling="density",
-        average="mean",
+    freqs, n_avg, (psd,), _ = _welch(
+        [series], sample_rate, segment_length, overlap, window, detrend
     )
     return SpectralEstimate(
         freqs=freqs,
@@ -120,7 +175,7 @@ def welch_psd(
         psd2=psd.copy(),
         csd=psd.astype(complex),
         coherence=np.ones_like(psd),
-        n_avg=segment_count(len(series), segment_length, overlap),
+        n_avg=n_avg,
         segment_length=segment_length,
         overlap=overlap,
         window=window,
@@ -142,24 +197,9 @@ def welch_csd(
     averaged spectra and clipped to [0, 1]; bins with zero PSD product get
     coherence 0.
     """
-    from scipy import signal
-
-    n = pair.n_samples
-    _check_segmenting(n, segment_length, overlap)
-    noverlap = int(round(segment_length * overlap))
-    kwargs = dict(
-        fs=pair.sample_rate,
-        window=window,
-        nperseg=segment_length,
-        noverlap=noverlap,
-        detrend=detrend,
-        return_onesided=True,
-        scaling="density",
-        average="mean",
+    freqs, n_avg, (psd1, psd2), csd = _welch(
+        [pair.ch1, pair.ch2], pair.sample_rate, segment_length, overlap, window, detrend
     )
-    freqs, psd1 = signal.welch(pair.ch1, **kwargs)
-    _, psd2 = signal.welch(pair.ch2, **kwargs)
-    _, csd = signal.csd(pair.ch1, pair.ch2, **kwargs)
     denom = psd1 * psd2
     coherence = np.zeros_like(psd1)
     np.divide(np.abs(csd) ** 2, denom, out=coherence, where=denom > 0.0)
@@ -170,7 +210,7 @@ def welch_csd(
         psd2=psd2,
         csd=csd,
         coherence=coherence,
-        n_avg=segment_count(n, segment_length, overlap),
+        n_avg=n_avg,
         segment_length=segment_length,
         overlap=overlap,
         window=window,

@@ -18,7 +18,7 @@ import pytest
 
 import holonoise
 from holonoise import CONSTANTS, ExperimentConfig, HolographicModel
-from holonoise.cli import ENV_OUTPUT_DIR, PRNG_IDENTIFIER, load_config, main
+from holonoise.cli import ENV_OUTPUT_DIR, PRNG_IDENTIFIER, _csv_text, load_config, main
 
 SMALL_CONFIG = {
     "arm_length": 40.0,
@@ -91,6 +91,25 @@ def test_predict_curves(tmp_path):
     assert float(first_acf[2]) == model.sigma2
     first_psd = psd_rows[0].split(",")
     assert float(first_psd[2]) == pytest.approx(2 * model.sigma2 * model.tau_c, rel=1e-15)
+
+
+def test_predict_rejects_overflowing_arm_length():
+    # 2L overflows, so tau_c = 2L/c is inf; the message must say so before
+    # numpy meets the inf and warns.
+    proc = run_python("-m", "holonoise.cli", "predict", "--arm-length", "1e308")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: arm length L = 1e+308 m is out of range")
+    assert "tau_c" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_csv_rows_match_per_value_formatting():
+    rows = np.array([[-0.0, 1e300, 5e-324], [0.1, -2.5e-17, 123456789.125]])
+    text = _csv_text({"sample_rate_hz": 5e7}, ["a", "b", "c"], rows)
+    body = [line for line in text.splitlines() if not line.startswith("#")]
+    assert body == [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
+    assert body[0] == "-0,1.0000000000000001e+300,4.9406564584124654e-324"
 
 
 def test_predict_rejects_bad_length():
@@ -169,7 +188,7 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
     assert "common=0 (Brownian-difference moving sum)" in manifest["prng"]
-    assert manifest["version"] == holonoise.__version__ == "0.2.0"
+    assert manifest["version"] == holonoise.__version__ == "0.3.0"
     import hashlib
 
     for name, digest in manifest["outputs"].items():
@@ -289,6 +308,52 @@ def test_detect_rejects_non_integer_header(tmp_path, field, value):
     assert field in proc.stderr
 
 
+def test_detect_rejects_truncated_spectra(tmp_path, config_path):
+    # A file cut on a line boundary parses cleanly; only the row count and
+    # the frequency grid against the header show that it is not whole.
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path),
+                 "--output-dir", str(rundir)]) == 0
+    lines = (rundir / "spectra.csv").read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.csv"
+    cut.write_text("".join(lines[:48]))  # head -n 48
+    proc = run_python("-m", "holonoise.cli", "detect", "--estimate", str(cut),
+                      "--band", "0:3.7e6")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "rows" in proc.stderr and "513" in proc.stderr
+
+
+def test_detect_rejects_shifted_frequency_grid(tmp_path, config_path):
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path),
+                 "--output-dir", str(rundir)]) == 0
+    spectra = rundir / "spectra.csv"
+    spectra.write_text(spectra.read_text().replace(
+        "# sample_rate_hz = 50000000", "# sample_rate_hz = 50000001"))
+    out = tmp_path / "detect.json"
+    assert main(["detect", "--estimate", str(spectra), "--band", "0:3.7e6",
+                 "--output", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_detect_unknown_window_is_an_error(tmp_path, config_path):
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path),
+                 "--output-dir", str(rundir)]) == 0
+    spectra = rundir / "spectra.csv"
+    text = spectra.read_text()
+    assert "# window = hann\n" in text
+    spectra.write_text(text.replace("# window = hann\n", "# window = bogus\n"))
+    proc = run_python("-m", "holonoise.cli", "detect", "--estimate", str(spectra),
+                      "--band", "0:3.7e6")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "unknown window 'bogus'" in proc.stderr
+
+
 def test_analyze_one_row_without_sample_rate(tmp_path):
     bad = tmp_path / "timeseries.csv"
     bad.write_text("# columns: time_s,ch1_m,ch2_m\n0,1e-15,2e-15\n")
@@ -329,14 +394,27 @@ def test_load_config_round_trip(tmp_path):
     assert cfg == ExperimentConfig(**SMALL_CONFIG)
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # constants, info, predict and slits never need spectra, so starting the
-    # CLI must not pay for scipy.signal's import.
-    proc = run_python(
-        "-c", "import sys, holonoise.cli; print('scipy.signal' in sys.modules)"
+def test_cli_import_does_not_load_scipy_signal(tmp_path, config_path):
+    # No subcommand needs scipy.signal: the Welch kernel and the Hann window
+    # are numpy, so neither starting the CLI nor simulate -> analyze ->
+    # detect may pay for its import.
+    script = (
+        "import sys, holonoise.cli\n"
+        "print('scipy.signal' in sys.modules)\n"
+        "from holonoise.cli import main\n"
+        f"run = {str(tmp_path / 'run')!r}\n"
+        f"assert main(['simulate', '--config', {str(config_path)!r}, '--output-dir', run,\n"
+        "             '--dump-timeseries']) == 0\n"
+        "assert main(['analyze', '--timeseries', run + '/timeseries.csv',\n"
+        "             '--output', run + '/analyzed.csv']) == 0\n"
+        "assert main(['detect', '--estimate', run + '/analyzed.csv', '--band', '0:3.7e6',\n"
+        "             '--output', run + '/detect.json']) == 0\n"
+        "print('scipy.signal' in sys.modules)\n"
     )
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split()[0] == "False"
+    assert proc.stdout.split()[-1] == "False"
 
 
 def test_console_script_smoke():

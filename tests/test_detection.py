@@ -15,6 +15,7 @@ from holonoise import (
     DomainError,
     ExperimentConfig,
     HolographicModel,
+    SpectralEstimate,
     UnreachableTargetError,
     integration_time_for,
     null_significance,
@@ -221,6 +222,26 @@ def test_pvalue_is_one_sided_gaussian(model40):
     report = null_significance(est, full_band(model40))
     expected = 0.5 * math.erfc(report.sigma_level / math.sqrt(2.0))
     assert report.null_pvalue == pytest.approx(expected, rel=1e-12)
+
+
+def test_null_variance_one_bin_hann_inflation():
+    # One bin, Hann at 50% overlap, K = 1023 segments: only neighbouring
+    # segments correlate, each through the window's half-segment overlap
+    # correlation sum w[j] w[j + L/2] / sum w^2 = 1/6, so the variance is
+    # the naive P1 P2 / (2 K) times 1 + 2 (K - 1) / K * (1/6)^2.
+    length, n_avg = 8192, 1023
+    freqs = np.fft.rfftfreq(length, 1.0 / FS)
+    flat = np.full(len(freqs), 3.0)
+    est = SpectralEstimate(
+        freqs=freqs, psd1=flat, psd2=flat, csd=np.zeros(len(freqs), complex),
+        coherence=np.zeros(len(freqs)), n_avg=n_avg, segment_length=length,
+        overlap=0.5, window="hann", sample_rate=FS,
+    )
+    naive = 3.0 * 3.0 / (2 * n_avg)
+    ratio = band_statistic_null_variance(est, np.array([100])) / naive
+    assert ratio == pytest.approx(1 + 2 * (n_avg - 1) / n_avg / 36, abs=1e-9)
+    band = band_statistic_null_variance(est, np.arange(100, 1100)) / (naive / 1000)
+    assert band == pytest.approx(2.11, abs=0.01)
 
 
 def test_null_zscores_standard_normal(model40):

@@ -69,6 +69,13 @@ def test_from_baseline_rejects_bad_lengths():
             HolographicModel.from_baseline(bad)
 
 
+def test_from_baseline_rejects_out_of_range_lengths():
+    # 2L overflows to inf above ~9e307; 2L/c underflows to 0 near 1e-320.
+    for bad in (1e308, 1e-320):
+        with pytest.raises(DomainError, match="arm length"):
+            HolographicModel.from_baseline(bad)
+
+
 # -------------------------------------------------------- resolution formulas
 
 

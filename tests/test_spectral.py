@@ -1,8 +1,9 @@
 """Tests for the Welch spectra and cross-covariance estimators.
 
-Oracles: the white-noise generator's variance formula, Parseval's theorem
-(exact for a rectangular window with no overlap and no detrending), a
-bin-centered sinusoid, and a brute-force O(n k) cross-covariance loop.
+Oracles: scipy.signal's window and Welch routines, the white-noise
+generator's variance formula, Parseval's theorem (exact for a rectangular
+window with no overlap and no detrending), a bin-centered sinusoid, and a
+brute-force O(n k) cross-covariance loop.
 """
 
 import math
@@ -22,7 +23,7 @@ from holonoise import (
     white_noise,
     xcorr,
 )
-from holonoise.spectral import segment_count
+from holonoise.spectral import SEGMENT_CHUNK, hann_window, segment_count
 
 FS = 5e7
 
@@ -58,6 +59,51 @@ def test_invalid_segmenting():
         welch_psd(x, FS, 1024)  # series shorter than one segment
     with pytest.raises(DomainError):
         welch_psd(x, FS, 256, overlap=0.9)
+
+
+def test_invalid_detrend_and_window():
+    x = np.zeros(512)
+    with pytest.raises(DomainError, match="detrend"):
+        welch_psd(x, FS, 256, detrend="linear")
+    with pytest.raises(DomainError, match="unknown window 'bogus'"):
+        welch_psd(x, FS, 256, window="bogus")
+
+
+# ------------------------------------------------------------- scipy oracle
+
+
+@pytest.mark.parametrize("length", [64, 1024, 8192])
+def test_hann_window_is_scipys(length):
+    from scipy.signal import get_window
+
+    assert np.array_equal(hann_window(length), get_window("hann", length, fftbins=True))
+
+
+@pytest.mark.parametrize("window,overlap", [("hann", 0.5), ("hann", 0.25), ("boxcar", 0.0)])
+@pytest.mark.parametrize("detrend", ["constant", False])
+def test_welch_matches_scipy(window, overlap, detrend):
+    from scipy import signal
+
+    seg = 256
+    # More segments than one chunk, and a partial last chunk.
+    n = seg * (2 * SEGMENT_CHUNK + 5)
+    cfg = ExperimentConfig(n_samples=2**16, seed=21, holo_scale=4.0)
+    full = synthesize_pair(cfg)
+    pair = make_pair(full.ch1[:n] + 3e-16, full.ch2[:n], fs=cfg.sample_rate)
+    kwargs = dict(fs=cfg.sample_rate, window=window, nperseg=seg,
+                  noverlap=int(round(seg * overlap)), detrend=detrend)
+    freqs, psd1 = signal.welch(pair.ch1, **kwargs)
+    _, psd2 = signal.welch(pair.ch2, **kwargs)
+    _, csd = signal.csd(pair.ch1, pair.ch2, **kwargs)
+
+    est = welch_csd(pair, seg, overlap=overlap, window=window, detrend=detrend)
+    single = welch_psd(pair.ch1, cfg.sample_rate, seg, overlap=overlap,
+                       window=window, detrend=detrend)
+    assert est.n_avg == single.n_avg == segment_count(n, seg, overlap)
+    assert np.array_equal(est.freqs, freqs)
+    for mine, ref in [(est.psd1, psd1), (est.psd2, psd2), (est.csd, csd),
+                      (single.psd1, psd1)]:
+        assert np.max(np.abs(mine - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------------------ PSD level
