@@ -7,9 +7,13 @@ errors, 2 I/O errors, 64 usage errors.
 CSV outputs carry their metadata as ``#``-prefixed header comments and
 print floats with 17 significant digits, so a written series re-read from
 disk is bit-identical to the in-memory one and repeated runs of the same
-configuration produce byte-identical files.  ``simulate`` drops a manifest
-recording the config, constants, PRNG identity, and SHA-256 of every
-output.  The default output directory can be overridden with the
+configuration produce byte-identical files.  CSVs are streamed in blocks of
+``CHUNK_ROWS`` rows and hashed as they are written; reading cuts the data
+into byte ranges of about ``RANGE_BYTES`` at line boundaries.  Blocks and
+ranges are formatted or parsed across the CPUs the process may use, and
+the bytes do not depend on how many there are.  ``simulate`` drops a
+manifest recording the config, constants, PRNG identity, and SHA-256 of
+every output.  The default output directory can be overridden with the
 ``HOLONOISE_OUTPUT_DIR`` environment variable (an explicit ``--output-dir``
 still wins).
 """
@@ -18,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,6 +55,12 @@ PRNG_IDENTIFIER = (
 )
 
 ENV_OUTPUT_DIR = "HOLONOISE_OUTPUT_DIR"
+
+#: Rows formatted per CSV block, the unit of work handed to one CPU.
+CHUNK_ROWS = 1 << 16
+
+#: Approximate bytes of CSV data parsed per range when reading.
+RANGE_BYTES = 1 << 23
 
 
 class UsageError(Exception):
@@ -93,44 +105,111 @@ def _json_block(values: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}"
 
 
-def _write_text(path: Path | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text)
+def _pmap(func, items: list) -> Iterator:
+    """``map(func, items)`` in order, spread over the CPUs this process may use.
+
+    Runs in-process for fewer than two items or a single CPU, so small
+    outputs never start a worker; so do platforms without an affinity mask.
+    Workers are forked: they inherit the parent's open files and loaded
+    modules and run only ``func``.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(items))
+    if workers < 2:
+        yield from map(func, items)
+        return
+    import multiprocessing
+
+    # A forked worker flushes the stdio buffers it inherited when it exits;
+    # flushing first keeps it from writing them a second time.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        yield from pool.imap(func, items)
 
 
-def _format_rows(rows: np.ndarray, prefix: str = "") -> list[str]:
-    """One CSV line per row of a 2-D float array, each value at 17 digits."""
-    template = prefix + ",".join(["%.17g"] * rows.shape[1])
-    return [template % tuple(row) for row in rows.tolist()]
+def _format_block(task: tuple[str, np.ndarray]) -> bytes:
+    row_template, block = task
+    return (row_template * len(block) % tuple(block.ravel().tolist())).encode()
 
 
-def _csv_text(meta: dict, columns: list[str], rows: np.ndarray) -> str:
+def _row_blocks(rows: np.ndarray, prefix: str = "") -> Iterator[bytes]:
+    """CSV lines of a 2-D float array, each value at 17 digits, CHUNK_ROWS rows per block."""
+    row_template = prefix + ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return _pmap(
+        _format_block,
+        [(row_template, rows[i:i + CHUNK_ROWS]) for i in range(0, len(rows), CHUNK_ROWS)],
+    )
+
+
+def _csv_blocks(meta: dict, columns: list[str], rows: np.ndarray) -> Iterator[bytes]:
+    """A CSV file as bytes blocks: the ``#`` header, then the rows."""
     lines = [f"# holonoise v{__version__}"]
     for key, val in meta.items():
         if isinstance(val, float):
             val = _fmt(val)
         lines.append(f"# {key} = {val}")
     lines.append("# columns: " + ",".join(columns))
-    lines.extend(_format_rows(rows))
-    return "\n".join(lines) + "\n"
+    yield ("\n".join(lines) + "\n").encode()
+    yield from _row_blocks(rows)
+
+
+def _write_blocks(path: Path | None, blocks: Iterable[bytes]) -> str:
+    """Write ``blocks`` to ``path`` (stdout when None); the SHA-256 of what was written."""
+    digest = hashlib.sha256()
+    if path is None:
+        for block in blocks:
+            sys.stdout.write(block.decode())
+            digest.update(block)
+    else:
+        with path.open("wb") as handle:
+            for block in blocks:
+                handle.write(block)
+                digest.update(block)
+    return digest.hexdigest()
+
+
+def _write_text(path: Path | None, text: str) -> str:
+    return _write_blocks(path, [text.encode()])
+
+
+def _write_csv(path: Path | None, meta: dict, columns: list[str], rows: np.ndarray) -> str:
+    return _write_blocks(path, _csv_blocks(meta, columns, rows))
+
+
+def _parse_range(task: tuple[int, int, int]) -> np.ndarray:
+    fd, start, stop = task
+    chunk = os.pread(fd, stop - start, start)
+    return np.loadtxt(io.BytesIO(chunk), delimiter=",", comments="#", ndmin=2)
 
 
 def _read_csv(path: Path) -> tuple[dict, np.ndarray]:
+    """The ``key = value`` header comments and the data rows of a CSV, in one open."""
     meta: dict[str, str] = {}
     try:
-        with path.open() as handle:
+        with path.open("rb") as handle:
+            start = 0
             for line in handle:
-                if not line.startswith("#"):
+                if not line.startswith(b"#"):
                     break
-                body = line[1:].strip()
+                start += len(line)
+                body = line[1:].decode().strip()
                 if "=" in body:
                     key, _, val = body.partition("=")
                     meta[key.strip()] = val.strip()
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except OSError:
-        raise
+            size = os.fstat(handle.fileno()).st_size
+            # Cut the data at the first newline after every RANGE_BYTES, so
+            # each range holds whole lines.
+            cuts = [start]
+            while cuts[-1] + RANGE_BYTES < size:
+                handle.seek(cuts[-1] + RANGE_BYTES)
+                handle.readline()
+                cuts.append(handle.tell())
+            cuts.append(size)
+            ranges = [(handle.fileno(), a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+            parts = list(_pmap(_parse_range, ranges or [(handle.fileno(), start, size)]))
+        # A range of comment lines alone parses to an empty part.
+        data = np.concatenate([part for part in parts if len(part)] or parts)
     except ValueError as exc:
         raise DomainError(f"malformed CSV {path}: {exc}") from exc
     return meta, data
@@ -145,10 +224,6 @@ def _header_value(meta: dict, key: str, path: Path, kind=float, default=None):
     except ValueError as exc:
         expected = "an integer" if kind is int else "a number"
         raise DomainError(f"{path}: header {key} = {meta[key]!r} is not {expected}") from exc
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _resolve_outdir(flag_value: str | None) -> Path:
@@ -201,7 +276,7 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: dict[str, s
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _spectra_csv(est: SpectralEstimate) -> str:
+def _write_spectra(path: Path | None, est: SpectralEstimate) -> str:
     rows = np.column_stack(
         [est.freqs, est.psd1, est.psd2, est.csd.real, est.csd.imag, est.coherence]
     )
@@ -212,7 +287,8 @@ def _spectra_csv(est: SpectralEstimate) -> str:
         "window": est.window,
         "n_avg": est.n_avg,
     }
-    return _csv_text(
+    return _write_csv(
+        path,
         meta,
         ["freq_hz", "psd1_m2_per_hz", "psd2_m2_per_hz", "csd_re_m2_per_hz",
          "csd_im_m2_per_hz", "coherence"],
@@ -232,6 +308,10 @@ def _estimate_from_csv(path: Path) -> SpectralEstimate:
     segment_length = _header_value(meta, "segment_length", path, int)
     overlap = _header_value(meta, "overlap", path)
     sample_rate = _header_value(meta, "sample_rate_hz", path)
+    if not 0.0 <= overlap <= 0.75:
+        raise DomainError(f"spectra file {path}: overlap = {overlap!r} is outside [0, 0.75]")
+    if n_avg < 1:
+        raise DomainError(f"spectra file {path}: n_avg = {n_avg} is not a positive count")
     # The rows must be the whole Welch grid the header describes, so a file
     # cut short or with an edited header is refused rather than trusted.
     if len(data) != segment_length // 2 + 1:
@@ -286,9 +366,14 @@ def cmd_predict(args) -> int:
         "# psd convention: one-sided, integrates to sigma2_m2",
         "# columns: quantity,x,value",
     ]
-    lines.extend(_format_rows(np.column_stack([lags, acf]), "acf,"))
-    lines.extend(_format_rows(np.column_stack([freqs, psd]), "psd,"))
-    _write_text(Path(args.output) if args.output else None, "\n".join(lines) + "\n")
+    _write_blocks(
+        Path(args.output) if args.output else None,
+        [
+            ("\n".join(lines) + "\n").encode(),
+            *_row_blocks(np.column_stack([lags, acf]), "acf,"),
+            *_row_blocks(np.column_stack([freqs, psd]), "psd,"),
+        ],
+    )
     return 0
 
 
@@ -328,7 +413,8 @@ def cmd_slits(args) -> int:
         seps, metrics = separation_sweep(setup)
         bound = np.full_like(seps, transverse_uncertainty(setup.screen_distance))
         rows = np.column_stack([seps, metrics, bound])
-        text = _csv_text(
+        _write_csv(
+            out,
             {
                 "screen_distance_m": setup.screen_distance,
                 "slit_width_m": setup.slit_width,
@@ -343,7 +429,8 @@ def cmd_slits(args) -> int:
         else:
             pattern = fraunhofer_pattern(setup)
         rows = np.column_stack([setup.angles(), pattern])
-        text = _csv_text(
+        _write_csv(
+            out,
             {
                 "separation_m": setup.separation,
                 "slit_width_m": setup.slit_width,
@@ -354,11 +441,10 @@ def cmd_slits(args) -> int:
             ["angle_rad", "intensity"],
             rows,
         )
-    _write_text(out, text)
     return 0
 
 
-def _timeseries_csv(pair: TimeSeriesPair, config: ExperimentConfig) -> str:
+def _write_timeseries(path: Path, pair: TimeSeriesPair, config: ExperimentConfig) -> str:
     times = np.arange(pair.n_samples) / pair.sample_rate
     rows = np.column_stack([times, pair.ch1, pair.ch2, pair.common])
     meta = {
@@ -366,7 +452,7 @@ def _timeseries_csv(pair: TimeSeriesPair, config: ExperimentConfig) -> str:
         "segment_length": config.segment_length,
         "overlap": config.overlap,
     }
-    return _csv_text(meta, ["time_s", "ch1_m", "ch2_m", "common_m"], rows)
+    return _write_csv(path, meta, ["time_s", "ch1_m", "ch2_m", "common_m"], rows)
 
 
 def cmd_simulate(args) -> int:
@@ -387,17 +473,14 @@ def cmd_simulate(args) -> int:
     )
     report = null_significance(estimate, band, predicted=prediction)
 
-    outputs: dict[str, str] = {}
-    spectra_path = outdir / "spectra.csv"
-    spectra_path.write_text(_spectra_csv(estimate))
-    outputs["spectra.csv"] = _sha256(spectra_path)
-    report_path = outdir / "report.json"
-    report_path.write_text(json.dumps(_report_dict(report), indent=2) + "\n")
-    outputs["report.json"] = _sha256(report_path)
+    outputs = {
+        "spectra.csv": _write_spectra(outdir / "spectra.csv", estimate),
+        "report.json": _write_text(
+            outdir / "report.json", json.dumps(_report_dict(report), indent=2) + "\n"
+        ),
+    }
     if args.dump_timeseries:
-        ts_path = outdir / "timeseries.csv"
-        ts_path.write_text(_timeseries_csv(pair, config))
-        outputs["timeseries.csv"] = _sha256(ts_path)
+        outputs["timeseries.csv"] = _write_timeseries(outdir / "timeseries.csv", pair, config)
     _write_manifest(outdir / "manifest.json", "simulate", config.as_dict(), outputs)
 
     print(f"wrote {', '.join(sorted(outputs))} to {outdir}")
@@ -437,7 +520,7 @@ def cmd_analyze(args) -> int:
     common = data[:, 3] if data.shape[1] == 4 else np.zeros(len(data))
     pair = TimeSeriesPair(sample_rate=fs, ch1=data[:, 1], ch2=data[:, 2], common=common)
     estimate = welch_csd(pair, segment_length, overlap)
-    _write_text(Path(args.output) if args.output else None, _spectra_csv(estimate))
+    _write_spectra(Path(args.output) if args.output else None, estimate)
     return 0
 
 

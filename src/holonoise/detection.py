@@ -156,6 +156,10 @@ def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) ->
     length = estimate.segment_length
     window = window_sequence(estimate.window, length)
     step = length - int(round(length * estimate.overlap))
+    if step <= 0:
+        raise DomainError(
+            f"overlap = {estimate.overlap!r} leaves no advance between segments"
+        )
     n_avg = estimate.n_avg
     n_bins = len(idx)
     p12 = estimate.psd1[idx] * estimate.psd2[idx]

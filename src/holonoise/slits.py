@@ -29,6 +29,9 @@ from .model import transverse_uncertainty
 #: Distance-metric value treated as "patterns are distinguishable".
 DISTINGUISHABILITY_THRESHOLD = 0.1
 
+#: Largest angle grid a SlitSetup accepts; a pattern holds a few arrays this long.
+MAX_ANGLES = 2**24
+
 
 @dataclass(frozen=True)
 class SlitSetup:
@@ -58,8 +61,10 @@ class SlitSetup:
             object.__setattr__(self, "wavelength", CONSTANTS.l_P)
         if not math.isfinite(self.wavelength) or self.wavelength <= 0.0:
             raise DomainError(f"wavelength must be positive, got {self.wavelength!r}")
-        if self.n_angles < 64:
-            raise DomainError(f"n_angles must be at least 64, got {self.n_angles!r}")
+        if not 64 <= self.n_angles <= MAX_ANGLES:
+            raise DomainError(
+                f"n_angles must lie in [64, {MAX_ANGLES}], got {self.n_angles!r}"
+            )
         if self.angle_span is None:
             blur = transverse_uncertainty(self.screen_distance)
             object.__setattr__(

@@ -4,11 +4,15 @@ Everything runs in-process through ``main(argv)`` so exit codes and file
 outputs are asserted directly, except the checks that need a fresh
 interpreter (no traceback on stderr, what ``import holonoise.cli`` loads);
 one smoke test exercises the installed console script if present.  Simulation configs are kept small (2^15
-samples) so the whole module stays under a few seconds.
+samples); the CSV block and byte-range tests share one 3-block, ~19 MB table,
+so the whole module stays around ten seconds.
 """
 
+import hashlib
 import json
 import math
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +22,17 @@ import pytest
 
 import holonoise
 from holonoise import CONSTANTS, ExperimentConfig, HolographicModel
-from holonoise.cli import ENV_OUTPUT_DIR, PRNG_IDENTIFIER, _csv_text, load_config, main
+from holonoise.cli import (
+    CHUNK_ROWS,
+    ENV_OUTPUT_DIR,
+    PRNG_IDENTIFIER,
+    RANGE_BYTES,
+    _csv_blocks,
+    _read_csv,
+    _write_csv,
+    load_config,
+    main,
+)
 
 SMALL_CONFIG = {
     "arm_length": 40.0,
@@ -106,10 +120,79 @@ def test_predict_rejects_overflowing_arm_length():
 
 def test_csv_rows_match_per_value_formatting():
     rows = np.array([[-0.0, 1e300, 5e-324], [0.1, -2.5e-17, 123456789.125]])
-    text = _csv_text({"sample_rate_hz": 5e7}, ["a", "b", "c"], rows)
+    text = b"".join(_csv_blocks({"sample_rate_hz": 5e7}, ["a", "b", "c"], rows)).decode()
     body = [line for line in text.splitlines() if not line.startswith("#")]
     assert body == [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
     assert body[0] == "-0,1.0000000000000001e+300,4.9406564584124654e-324"
+
+
+@pytest.fixture(scope="module")
+def block_rows():
+    """3 blocks and 5 rows of awkward values, and their per-value CSV text."""
+    rows = np.random.default_rng(7).standard_normal((3 * CHUNK_ROWS + 5, 4))
+    rows *= 10.0 ** np.random.default_rng(8).integers(-300, 300, rows.shape)
+    rows[0] = [-0.0, 1e300, 5e-324, 0.1]
+    rows[-1] = [5e-324, -0.0, 1e300, -2.5e-17]
+    text = "# holonoise v{}\n# sample_rate_hz = 50000000\n# columns: a,b,c,d\n".format(
+        holonoise.__version__
+    ) + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows.tolist())
+    return rows, text.encode()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_csv_blocks_match_per_value_formatting_on_any_cpu_count(
+    tmp_path, monkeypatch, block_rows, cpus
+):
+    rows, expected = block_rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    path = tmp_path / "blocks.csv"
+    digest = _write_csv(path, {"sample_rate_hz": 5e7}, ["a", "b", "c", "d"], rows)
+    data = path.read_bytes()
+    assert data == expected
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_read_csv_multi_range_is_bit_exact(tmp_path, monkeypatch, block_rows, cpus):
+    rows, expected = block_rows
+    assert len(expected) > 2 * RANGE_BYTES
+    path = tmp_path / "blocks.csv"
+    path.write_bytes(expected)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    meta, data = _read_csv(path)
+    assert meta == {"sample_rate_hz": "50000000"}
+    assert data.shape == rows.shape
+    assert data.tobytes() == rows.tobytes()
+
+
+def test_analyze_bad_value_in_last_range(tmp_path, block_rows):
+    _, expected = block_rows
+    bad = tmp_path / "timeseries.csv"
+    bad.write_bytes(expected[: expected.rindex(b",")] + b",zz\n")
+    proc = run_python("-m", "holonoise.cli", "analyze", "--timeseries", str(bad))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: malformed CSV {bad}")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_analyze_header_only_file(tmp_path, capsys):
+    path = tmp_path / "timeseries.csv"
+    path.write_text("# sample_rate_hz = 5e7\n# columns: time_s,ch1_m,ch2_m,common_m\n")
+    with pytest.warns(UserWarning, match="input contained no data"):
+        assert main(["analyze", "--timeseries", str(path)]) == 1
+    assert "found 1" in capsys.readouterr().err
+
+
+def test_multi_block_stdout_matches_file(tmp_path):
+    # Forked workers must not repeat the header already buffered for stdout.
+    argv = ["-m", "holonoise.cli", "slits", "--screen-distance", "1",
+            "--n-angles", str(2 * CHUNK_ROWS + 1)]
+    out = tmp_path / "pattern.csv"
+    assert run_python(*argv, "--output", str(out)).returncode == 0
+    proc = run_python(*argv)
+    assert proc.returncode == 0
+    assert proc.stdout == out.read_text()
 
 
 def test_predict_rejects_bad_length():
@@ -171,6 +254,15 @@ def test_slits_sweep(tmp_path):
     assert data[0, 2] == pytest.approx(4.0202674338015744e-18, rel=1e-15)
     # metric rises through the sweep.
     assert data[-1, 1] > 0.5 > data[0, 1]
+
+
+def test_slits_rejects_huge_angle_grid():
+    proc = run_python("-m", "holonoise.cli", "slits", "--screen-distance", "1",
+                      "--n-angles", "100000000000")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "n_angles" in proc.stderr
 
 
 # ------------------------------------------------------------------- simulate
@@ -354,6 +446,33 @@ def test_detect_unknown_window_is_an_error(tmp_path, config_path):
     assert "unknown window 'bogus'" in proc.stderr
 
 
+@pytest.mark.parametrize("edits", [
+    {"overlap": "1", "n_avg": "1000000"},
+    {"overlap": "-0.25"},
+    {"n_avg": "0"},
+])
+def test_detect_rejects_out_of_range_segmenting(tmp_path, config_path, edits):
+    # overlap = 1 leaves no step between segments; the null variance used to
+    # loop over every one of the n_avg lags instead of failing.
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path),
+                 "--output-dir", str(rundir)]) == 0
+    spectra = rundir / "spectra.csv"
+    text = spectra.read_text()
+    for key, value in edits.items():
+        text, count = re.subn(rf"^# {key} = .*$", f"# {key} = {value}", text, flags=re.M)
+        assert count == 1
+    spectra.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "holonoise.cli", "detect", "--estimate", str(spectra),
+         "--band", "0:3.7e6"], capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert next(iter(edits)) in proc.stderr
+
+
 def test_analyze_one_row_without_sample_rate(tmp_path):
     bad = tmp_path / "timeseries.csv"
     bad.write_text("# columns: time_s,ch1_m,ch2_m\n0,1e-15,2e-15\n")
@@ -397,10 +516,11 @@ def test_load_config_round_trip(tmp_path):
 def test_cli_import_does_not_load_scipy_signal(tmp_path, config_path):
     # No subcommand needs scipy.signal: the Welch kernel and the Hann window
     # are numpy, so neither starting the CLI nor simulate -> analyze ->
-    # detect may pay for its import.
+    # detect may pay for its import.  Their 2^15-sample files are one CSV
+    # block or range each, so they start no worker processes either.
     script = (
         "import sys, holonoise.cli\n"
-        "print('scipy.signal' in sys.modules)\n"
+        "print([m in sys.modules for m in ('scipy.signal', 'multiprocessing')])\n"
         "from holonoise.cli import main\n"
         f"run = {str(tmp_path / 'run')!r}\n"
         f"assert main(['simulate', '--config', {str(config_path)!r}, '--output-dir', run,\n"
@@ -409,12 +529,12 @@ def test_cli_import_does_not_load_scipy_signal(tmp_path, config_path):
         "             '--output', run + '/analyzed.csv']) == 0\n"
         "assert main(['detect', '--estimate', run + '/analyzed.csv', '--band', '0:3.7e6',\n"
         "             '--output', run + '/detect.json']) == 0\n"
-        "print('scipy.signal' in sys.modules)\n"
+        "print([m in sys.modules for m in ('scipy.signal', 'multiprocessing')])\n"
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[0] == "False"
-    assert proc.stdout.split()[-1] == "False"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[False, False]"
 
 
 def test_console_script_smoke():

@@ -244,6 +244,21 @@ def test_null_variance_one_bin_hann_inflation():
     assert band == pytest.approx(2.11, abs=0.01)
 
 
+def test_null_variance_rejects_zero_step():
+    # A step of 0 would never shift a segment past its own length, so the
+    # lag loop would run over all n_avg lags.
+    length = 1024
+    freqs = np.fft.rfftfreq(length, 1.0 / FS)
+    flat = np.ones(len(freqs))
+    est = SpectralEstimate(
+        freqs=freqs, psd1=flat, psd2=flat, csd=np.zeros(len(freqs), complex),
+        coherence=flat, n_avg=10**9, segment_length=length,
+        overlap=1.0, window="hann", sample_rate=FS,
+    )
+    with pytest.raises(DomainError, match="no advance"):
+        band_statistic_null_variance(est, np.array([100]))
+
+
 def test_null_zscores_standard_normal(model40):
     # 100 independent null replicas through the full pipeline.
     band = (0.0, 1e6)

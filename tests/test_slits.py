@@ -25,6 +25,7 @@ from holonoise import (
     threshold_crossing,
     transverse_uncertainty,
 )
+from holonoise.slits import MAX_ANGLES
 
 BOUND_1M = transverse_uncertainty(1.0)
 
@@ -57,6 +58,10 @@ def test_setup_validation():
         SlitSetup(separation=0.0, slit_width=1e-18, screen_distance=1.0, wavelength=-1.0)
     with pytest.raises(DomainError):
         SlitSetup(separation=0.0, slit_width=1e-18, screen_distance=1.0, n_angles=16)
+    with pytest.raises(DomainError):
+        SlitSetup(separation=0.0, slit_width=1e-18, screen_distance=1.0,
+                  n_angles=MAX_ANGLES + 1)
+    SlitSetup(separation=0.0, slit_width=1e-18, screen_distance=1.0, n_angles=MAX_ANGLES)
     with pytest.raises(DomainError):
         SlitSetup(
             separation=0.0, slit_width=1e-18, screen_distance=1.0, angle_span=-0.1
