@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._workers import pmap
 from .constants import CONSTANTS
 from .detection import null_significance, predicted_snr
 from .errors import DomainError
@@ -105,29 +107,6 @@ def _json_block(values: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}"
 
 
-def _pmap(func, items: list) -> Iterator:
-    """``map(func, items)`` in order, spread over the CPUs this process may use.
-
-    Runs in-process for fewer than two items or a single CPU, so small
-    outputs never start a worker; so do platforms without an affinity mask.
-    Workers are forked: they inherit the parent's open files and loaded
-    modules and run only ``func``.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(items))
-    if workers < 2:
-        yield from map(func, items)
-        return
-    import multiprocessing
-
-    # A forked worker flushes the stdio buffers it inherited when it exits;
-    # flushing first keeps it from writing them a second time.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        yield from pool.imap(func, items)
-
-
 def _format_block(task: tuple[str, np.ndarray]) -> bytes:
     row_template, block = task
     return (row_template * len(block) % tuple(block.ravel().tolist())).encode()
@@ -136,7 +115,7 @@ def _format_block(task: tuple[str, np.ndarray]) -> bytes:
 def _row_blocks(rows: np.ndarray, prefix: str = "") -> Iterator[bytes]:
     """CSV lines of a 2-D float array, each value at 17 digits, CHUNK_ROWS rows per block."""
     row_template = prefix + ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    return _pmap(
+    return pmap(
         _format_block,
         [(row_template, rows[i:i + CHUNK_ROWS]) for i in range(0, len(rows), CHUNK_ROWS)],
     )
@@ -180,7 +159,11 @@ def _write_csv(path: Path | None, meta: dict, columns: list[str], rows: np.ndarr
 def _parse_range(task: tuple[int, int, int]) -> np.ndarray:
     fd, start, stop = task
     chunk = os.pread(fd, stop - start, start)
-    return np.loadtxt(io.BytesIO(chunk), delimiter=",", comments="#", ndmin=2)
+    with warnings.catch_warnings():
+        # A range without data rows parses to an empty part; _read_csv
+        # reports a file that has none at all.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(io.BytesIO(chunk), delimiter=",", comments="#", ndmin=2)
 
 
 def _read_csv(path: Path) -> tuple[dict, np.ndarray]:
@@ -207,11 +190,13 @@ def _read_csv(path: Path) -> tuple[dict, np.ndarray]:
                 cuts.append(handle.tell())
             cuts.append(size)
             ranges = [(handle.fileno(), a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-            parts = list(_pmap(_parse_range, ranges or [(handle.fileno(), start, size)]))
+            parts = list(pmap(_parse_range, ranges or [(handle.fileno(), start, size)]))
         # A range of comment lines alone parses to an empty part.
         data = np.concatenate([part for part in parts if len(part)] or parts)
     except ValueError as exc:
         raise DomainError(f"malformed CSV {path}: {exc}") from exc
+    if not len(data):
+        raise DomainError(f"{path} has no data rows")
     return meta, data
 
 
@@ -239,10 +224,7 @@ def _resolve_outdir(flag_value: str | None) -> Path:
 
 def load_config(path: Path) -> ExperimentConfig:
     """Parse a JSON config file; unknown fields and bad JSON are rejected."""
-    try:
-        text = path.read_text()
-    except OSError:
-        raise
+    text = path.read_text()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -24,6 +24,7 @@ comparable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -144,6 +145,20 @@ def _cross_kernel(window: np.ndarray, shift: int, dbin: int) -> float:
     return abs(np.dot(prod, phase)) / float(np.dot(window, window))
 
 
+@functools.lru_cache(maxsize=32)
+def _kernel_table(window: str, length: int, step: int, max_dbin: int) -> tuple:
+    """`_cross_kernel` for every overlapping segment lag and every dbin <= max_dbin.
+
+    Row d is the lag d * step.  The table depends only on its arguments, so
+    it is computed once per (window, length, step, max_dbin) and reused.
+    """
+    win = window_sequence(window, length)
+    return tuple(
+        tuple(_cross_kernel(win, dseg * step, dbin) for dbin in range(max_dbin + 1))
+        for dseg in range(-(-length // step))
+    )
+
+
 def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) -> float:
     """Variance of mean(Re csd[idx]) under independent channels.
 
@@ -154,7 +169,6 @@ def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) ->
     rectangular window without overlap.
     """
     length = estimate.segment_length
-    window = window_sequence(estimate.window, length)
     step = length - int(round(length * estimate.overlap))
     if step <= 0:
         raise DomainError(
@@ -165,20 +179,16 @@ def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) ->
     p12 = estimate.psd1[idx] * estimate.psd2[idx]
     amp = np.sqrt(p12)
     max_dbin = min(n_bins - 1, 8)
+    kernels = _kernel_table(estimate.window, length, step, max_dbin)
+    pair_sums = [float(p12.sum())] + [
+        2.0 * float(np.dot(amp[:-dbin], amp[dbin:])) for dbin in range(1, max_dbin + 1)
+    ]
     total = 0.0
-    for dseg in range(0, n_avg):
-        shift = dseg * step
-        if shift >= length:
-            break
+    for dseg, row in enumerate(kernels[:n_avg]):
         seg_weight = float(n_avg) if dseg == 0 else 2.0 * (n_avg - dseg)
-        for dbin in range(0, max_dbin + 1):
-            kern = _cross_kernel(window, shift, dbin)
+        for kern, pair_sum in zip(row, pair_sums):
             if kern == 0.0:
                 continue
-            if dbin == 0:
-                pair_sum = float(p12.sum())
-            else:
-                pair_sum = 2.0 * float(np.dot(amp[:-dbin], amp[dbin:]))
             total += seg_weight * kern * kern * pair_sum
     return total / (2.0 * n_avg**2 * n_bins**2)
 

@@ -100,13 +100,10 @@ def fraunhofer_pattern(setup: SlitSetup) -> np.ndarray:
 
     I(theta) ~ sinc^2(a sin(theta)/lambda) cos^2(pi d sin(theta)/lambda)
     with slit width a and separation d; separation 0 reduces to the pure
-    single-slit envelope.
+    single-slit envelope.  It is the blurred pattern at blur 0, whose
+    damping factor is exactly 1.
     """
-    s = np.sin(setup.angles())
-    lam = setup.wavelength
-    envelope = np.sinc(setup.slit_width * s / lam) ** 2
-    fringes = np.cos(np.pi * setup.separation * s / lam) ** 2
-    return _normalize(envelope * fringes)
+    return information_blurred_pattern(setup, 0.0)
 
 
 def information_blurred_pattern(setup: SlitSetup, blur: float | None = None) -> np.ndarray:

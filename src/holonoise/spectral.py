@@ -1,10 +1,13 @@
 """Welch spectral estimation and cross-covariance for channel pairs.
 
 One numpy pass yields the auto- and cross-spectra of a pair: the series is
-cut into strided segment views, and chunks of ``SEGMENT_CHUNK`` segments at
-a time have their means removed, are windowed and go through one ``rfft``
-per channel, whose ``|X1|^2``, ``|X2|^2`` and ``conj(X1) X2`` are summed.
-The sums carry scipy.signal's one-sided density scaling (Welch 1967;
+cut into strided segment views, whose means are removed, which are windowed
+and go through one ``rfft`` per channel, about ``FFT_BATCH_SAMPLES``
+samples per call, and whose ``|X1|^2``, ``|X2|^2`` and ``conj(X1) X2`` are
+summed over chunks of ``SEGMENT_CHUNK`` segments.  The chunk sums are added
+in chunk order, so the bits depend on neither the batch size nor the number
+of worker threads the chunks are shared among (see `_workers.tmap`).  The
+sums carry scipy.signal's one-sided density scaling (Welch 1967;
 Heinzel, Ruediger & Schilling 2002): a flat input returns its ASD^2 level,
 and DC and Nyquist are not doubled.  Hann window and 50% overlap are the
 defaults, and the explicit segment count ``n_avg`` tells downstream
@@ -21,11 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._workers import thread_count, tmap
 from .errors import DomainError
 from .synthesis import TimeSeriesPair
 
-#: Segments windowed and transformed per FFT call; bounds the working memory.
+#: Segments summed before their sum joins the running total; this fixes the
+#: order of the additions, and so the bits of every spectrum.
 SEGMENT_CHUNK = 32
+
+#: Samples windowed and transformed per FFT call (whole segments, at least
+#: one); small enough for the working arrays to stay in cache.
+FFT_BATCH_SAMPLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -94,11 +103,78 @@ def window_sequence(window: str, length: int) -> np.ndarray:
         raise DomainError(f"unknown window {window!r}: {exc}") from exc
 
 
+def _sum_rows(terms: np.ndarray, a: int, b: int, carry: bool, out: np.ndarray) -> None:
+    """``out`` = terms[a + 1], ..., terms[b] added in order, after ``out`` when ``carry``.
+
+    Rows are added one after another, so a chunk summed a piece at a time
+    gets the same bits as a chunk summed at once.  terms[a] is overwritten.
+    """
+    if carry:
+        terms[a] = out
+        terms[a : b + 1].sum(axis=0, out=out)
+    else:
+        terms[a + 1 : b + 1].sum(axis=0, out=out)
+
+
+def _work_arrays(channels: int, length: int):
+    """What one worker writes into: a scratch buffer, a spectrum per channel,
+    and the rows to sum, for batches of ``FFT_BATCH_SAMPLES // length`` segments."""
+    rows, n_freq = max(1, FFT_BATCH_SAMPLES // length), length // 2 + 1
+    return (
+        np.empty(max(rows * length, 2 * (rows + 1) * n_freq)),
+        [np.empty((rows, n_freq), dtype=complex) for _ in range(channels)],
+        np.empty((rows + 1, n_freq)),
+    )
+
+
+def _chunk_sums(segments, win, detrend, first, stop, work, power, cross):
+    """Fill row i of ``power[c]`` with chunk i's sum of |X_c|^2 and, for a
+    pair, row i of ``cross`` with its sum of conj(X1) X2, for the chunks
+    of segments ``first`` to ``stop``.
+
+    Segments go through the FFT a batch at a time, whatever chunks they
+    belong to, and every step writes into the ``work`` arrays, so a worker
+    needs a fixed few times ``FFT_BATCH_SAMPLES`` floats.
+    """
+    scratch, spectra, terms = work
+    length = len(win)
+    n_freq = length // 2 + 1
+    for lo in range(first, stop, len(terms) - 1):
+        k = min(len(terms) - 1, stop - lo)
+        # Batch rows a to b - 1 are chunk i's segments lo + a to lo + b - 1.
+        pieces = [
+            (i, max(lo, i * SEGMENT_CHUNK) - lo, min(lo + k, (i + 1) * SEGMENT_CHUNK) - lo)
+            for i in range(lo // SEGMENT_CHUNK, -(-(lo + k) // SEGMENT_CHUNK))
+        ]
+        for seg, spectrum, total in zip(segments, spectra, power):
+            chunk = seg[lo : lo + k]
+            x = scratch[: k * length].reshape(k, length)
+            if detrend:
+                np.subtract(chunk, chunk.mean(axis=-1, keepdims=True), out=x)
+                chunk = x
+            np.multiply(chunk, win, out=x)
+            spec = np.fft.rfft(x, out=spectrum[:k])
+            im2 = np.square(spec.imag, out=scratch[: k * n_freq].reshape(k, n_freq))
+            re2 = np.square(spec.real, out=terms[1 : k + 1])
+            re2 += im2
+            for i, a, b in pieces:
+                _sum_rows(terms, a, b, (lo + a) % SEGMENT_CHUNK > 0, total[i])
+        if len(segments) == 2:
+            prod = scratch[: 2 * (k + 1) * n_freq].view(complex).reshape(k + 1, n_freq)
+            np.conjugate(spectra[0][:k], out=prod[1:])
+            prod[1:] *= spectra[1][:k]
+            for i, a, b in pieces:
+                _sum_rows(prod, a, b, (lo + a) % SEGMENT_CHUNK > 0, cross[i])
+
+
 def _welch(channels, sample_rate, segment_length, overlap, window, detrend):
     """One-pass Welch spectra of one channel or a pair.
 
     Returns (freqs, n_avg, psds, csd): one PSD per channel and, for a pair,
-    the conj(X1) * X2 cross spectrum (None for a single channel).
+    the conj(X1) * X2 cross spectrum (None for a single channel).  Each
+    worker thread (see `_workers.tmap`) sums one contiguous group of chunks,
+    and the chunk sums are added in chunk order, so the result is the same
+    bits on any CPU count.
     """
     if not (detrend is False or detrend == "constant"):
         raise DomainError(f"detrend must be 'constant' or False, got {detrend!r}")
@@ -113,27 +189,32 @@ def _welch(channels, sample_rate, segment_length, overlap, window, detrend):
         sliding_window_view(np.ascontiguousarray(ch, dtype=float), segment_length)[::step][:n_avg]
         for ch in channels
     ]
-    power = [np.zeros(n_freq) for _ in channels]
-    cross = np.zeros(n_freq, dtype=complex)
-    for start in range(0, n_avg, SEGMENT_CHUNK):
-        spectra = []
-        for seg, acc in zip(segments, power):
-            chunk = seg[start : start + SEGMENT_CHUNK]
-            if detrend:
-                chunk = chunk - chunk.mean(axis=-1, keepdims=True)
-            spec = np.fft.rfft(chunk * win)
-            acc += (spec.real**2 + spec.imag**2).sum(axis=0)
-            spectra.append(spec)
-        if len(spectra) == 2:
-            cross += (spectra[0].conj() * spectra[1]).sum(axis=0)
+    n_chunks = -(-n_avg // SEGMENT_CHUNK)
+    power = np.empty((len(channels), n_chunks, n_freq))
+    cross = np.empty((n_chunks, n_freq), dtype=complex)
+    work = len(channels) * n_avg * segment_length
+    # Every array a worker writes is allocated here: memory that a worker
+    # thread allocates stays in that thread's malloc arena after it ends.
+    tasks = [
+        (chunks[0] * SEGMENT_CHUNK, min((chunks[-1] + 1) * SEGMENT_CHUNK, n_avg),
+         _work_arrays(len(channels), segment_length))
+        for chunks in np.array_split(np.arange(n_chunks), thread_count(n_chunks, work))
+    ]
+    tmap(lambda task: _chunk_sums(segments, win, detrend, *task, power, cross), tasks, work)
+    psds = [np.zeros(n_freq) for _ in channels]
+    csd = np.zeros(n_freq, dtype=complex)
+    for i in range(n_chunks):
+        for acc, sums in zip(psds, power):
+            acc += sums[i]
+        if len(channels) == 2:
+            csd += cross[i]
 
     # One-sided density: every bin but DC and Nyquist carries both signs.
     scale = np.full(n_freq, 2.0 / (sample_rate * float(np.dot(win, win)) * n_avg))
     scale[0] /= 2.0
     scale[-1] /= 2.0
     freqs = np.fft.rfftfreq(segment_length, 1.0 / sample_rate)
-    csd = cross * scale if len(channels) == 2 else None
-    return freqs, n_avg, [acc * scale for acc in power], csd
+    return freqs, n_avg, [acc * scale for acc in psds], csd * scale if len(channels) == 2 else None
 
 
 def welch_psd(

@@ -13,14 +13,18 @@ moving sum of independent Gaussian increments.  In sample units the window
 is S = sample_rate * tau_c = q + r samples long (q an integer, 0 <= r < 1);
 splitting every unit interval at r gives a grid on which each window is a
 whole number of pieces, q + 1 of length r and q of length 1 - r.  One
-cumulative sum and one difference produce every sample in O(n) time and
-memory, and the covariance is the sampled triangle by construction: no
-embedding, eigenvalue check or FFT is involved.
+cumulative sum and one difference produce every sample in O(n) time, and
+the covariance is the sampled triangle by construction: no embedding,
+eigenvalue check or FFT is involved.  The sum is streamed over blocks of
+``SUM_BLOCK`` draws, so beyond the series itself it holds O(SUM_BLOCK + q)
+memory, with the bits of a single pass.
 
 All randomness is drawn from counter-based Philox generators keyed by
 ``SeedSequence(seed, spawn_key=(stream_id,))``, so the common and the two
 shot streams are mutually independent and each is reproducible bit for bit
-from ``(seed, stream_id)`` alone.
+from ``(seed, stream_id)`` alone.  `synthesize_pair` therefore draws the
+three streams concurrently, on as many of them as the CPUs the process may
+use allow (see `_workers.tmap`), without changing a bit.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ._workers import tmap
 from .constants import CONSTANTS
 from .errors import DomainError
 from .model import HolographicModel
@@ -38,6 +43,9 @@ from .model import HolographicModel
 STREAM_COMMON = 0
 STREAM_SHOT1 = 1
 STREAM_SHOT2 = 2
+
+#: Unit-interval draws summed per block by `brownian_difference`.
+SUM_BLOCK = 1 << 16
 
 
 def generator(seed: int, stream_id: int) -> np.random.Generator:
@@ -159,27 +167,71 @@ def window_split(model: HolographicModel, sample_rate: float) -> tuple[int, floa
 
 
 def brownian_difference(
-    draws: np.ndarray, model: HolographicModel, sample_rate: float
+    pieces: np.ndarray, increments, model: HolographicModel, sample_rate: float
 ) -> np.ndarray:
     """Linear map from standard-normal draws to the triangular-ACF series.
 
-    ``draws`` has shape (2, n + q), with q from `window_split`; row 0 feeds
-    the r-long Brownian pieces and row 1 the (1 - r)-long ones.  The array is
-    overwritten.  Sample k is the Brownian increment over [k - r, k + q]:
-    the r-piece ending at k plus the q unit intervals after it, scaled so the
-    variance is sigma2.
+    ``pieces`` holds the n + q draws (q from `window_split`) that feed the
+    r-long Brownian pieces; it is overwritten and its first n entries are
+    returned as the series.  ``increments(out)`` fills ``out`` with the next
+    draws for the (1 - r)-long pieces, n + q in all, which are taken and
+    summed ``SUM_BLOCK`` at a time, so only the returned series is held
+    whole.  Sample k is the Brownian increment over [k - r, k + q]: the
+    r-piece ending at k plus the q unit intervals after it, scaled so the
+    variance is sigma2.  Every cumulative sum and difference is the one a
+    single pass over all the draws would make, so the bits do not depend on
+    the block size.
     """
     q, r = window_split(model, sample_rate)
-    n = draws.shape[1] - q
+    n = len(pieces) - q
     unit = model.sigma2 / (q + r)
-    b, u = draws
-    b *= math.sqrt(r * unit)
-    u *= math.sqrt((1.0 - r) * unit)
-    u += b                       # u[j]: the whole interval [j - 1, j]
-    np.cumsum(u, out=u)
-    x = u[q:] - u[:n]            # intervals (k, k + q]
-    x += b[:n]                   # plus the piece [k - r, k]
-    return x
+    pieces *= math.sqrt(r * unit)
+    scale = math.sqrt((1.0 - r) * unit)
+    block = max(SUM_BLOCK, q)
+    # cum[i] is the running sum U[j - q + i] of the whole unit intervals,
+    # U[j] = U[j - 1] + (the interval [j - 1, j]), for the block at j.
+    cum = np.empty(q + block)
+    diff = np.empty(block)
+    carry = 0.0
+    for j in range(0, n + q, block):
+        m = min(block, n + q - j)
+        u = cum[q : q + m]
+        increments(u)
+        u *= scale
+        u += pieces[j : j + m]
+        if j:
+            u[0] += carry
+        np.cumsum(u, out=u)
+        carry = u[-1]
+        # x[k] = (U[k + q] - U[k]) + pieces[k] for every k whose U[k + q] is
+        # here, written over pieces[k], which later blocks no longer need.
+        k0, k1 = max(j - q, 0), j + m - q
+        now, before = cum[k0 - j + 2 * q : k1 - j + 2 * q], cum[k0 - j + q : k1 - j + q]
+        pieces[k0:k1] += np.subtract(now, before, out=diff[: k1 - k0])
+        cum[:q] = cum[m : m + q]
+    return pieces[:n]
+
+
+def _check_common(model: HolographicModel, sample_rate: float, n: int) -> None:
+    if sample_rate * model.tau_c < 4.0:
+        raise DomainError(
+            "undersampled: sample_rate * tau_c = "
+            f"{sample_rate * model.tau_c:.3f} < 4"
+        )
+    support = int(math.ceil(sample_rate * model.tau_c))
+    if n < 2 * support:
+        raise DomainError(
+            f"n = {n} too short: need at least twice the correlation support "
+            f"({2 * support} samples)"
+        )
+
+
+def _common(model: HolographicModel, sample_rate: float, n: int, seed: int) -> np.ndarray:
+    q, _ = window_split(model, sample_rate)
+    gen = generator(seed, STREAM_COMMON)
+    pieces = gen.standard_normal(n + q)
+    return brownian_difference(pieces, lambda out: gen.standard_normal(out=out), model,
+                               sample_rate)
 
 
 def synthesize_common(
@@ -202,22 +254,20 @@ def synthesize_common(
     -------
     numpy.ndarray
         Zero-mean Gaussian series whose autocovariance equals the sampled
-        triangle exactly (the moving sum is not an approximation).
+        triangle exactly (the moving sum is not an approximation).  The
+        stream's first n + q draws feed the r-long pieces and the next
+        n + q the unit-interval remainders.
     """
-    if sample_rate * model.tau_c < 4.0:
-        raise DomainError(
-            "undersampled: sample_rate * tau_c = "
-            f"{sample_rate * model.tau_c:.3f} < 4"
-        )
-    support = int(math.ceil(sample_rate * model.tau_c))
-    if n < 2 * support:
-        raise DomainError(
-            f"n = {n} too short: need at least twice the correlation support "
-            f"({2 * support} samples)"
-        )
-    q, _ = window_split(model, sample_rate)
-    draws = generator(seed, STREAM_COMMON).standard_normal((2, n + q))
-    return brownian_difference(draws, model, sample_rate)
+    _check_common(model, sample_rate, n)
+    return _common(model, sample_rate, n, seed)
+
+
+def _white(asd: float, sample_rate: float, n: int, seed: int, stream_id: int) -> np.ndarray:
+    if asd == 0.0:
+        return np.zeros(n)
+    x = generator(seed, stream_id).standard_normal(n)
+    x *= asd * math.sqrt(sample_rate / 2.0)
+    return x
 
 
 def white_noise(
@@ -228,10 +278,7 @@ def white_noise(
         raise DomainError(f"asd must be >= 0, got {asd!r}")
     if n < 1:
         raise DomainError(f"n must be positive, got {n!r}")
-    if asd == 0.0:
-        return np.zeros(n)
-    sigma = asd * math.sqrt(sample_rate / 2.0)
-    return sigma * generator(seed, stream_id).standard_normal(n)
+    return _white(asd, sample_rate, n, seed, stream_id)
 
 
 def synthesize_pair(config: ExperimentConfig) -> TimeSeriesPair:
@@ -239,14 +286,30 @@ def synthesize_pair(config: ExperimentConfig) -> TimeSeriesPair:
 
     The stored ``common`` array is the injected component as it appears in
     the channels (scaled by sqrt(holo_scale)); with holo_scale = 0 the
-    generation is skipped entirely and ``common`` is all zeros.
+    generation is skipped entirely and ``common`` is all zeros.  The three
+    Philox streams are independent, so they are drawn concurrently on the
+    CPUs the process may use (see `_workers.tmap`); each stream's draws and
+    arithmetic are the same on any CPU count, and so are the bits.
     """
-    n, fs = config.n_samples, config.sample_rate
+    n, fs, seed = config.n_samples, config.sample_rate, config.seed
+    shots = [
+        lambda: _white(config.shot_asd, fs, n, seed, STREAM_SHOT1),
+        lambda: _white(config.shot_asd, fs, n, seed, STREAM_SHOT2),
+    ]
     if config.holo_scale > 0.0:
-        common = synthesize_common(config.model(), fs, n, config.seed)
-        common *= math.sqrt(config.holo_scale)
+        model = config.model()
+        _check_common(model, fs, n)
+
+        def injected():
+            common = _common(model, fs, n, seed)
+            common *= math.sqrt(config.holo_scale)
+            return common
+
+        common, ch1, ch2 = tmap(lambda draw: draw(), [injected, *shots], work=3 * n)
     else:
+        ch1, ch2 = tmap(lambda draw: draw(), shots, work=2 * n)
         common = np.zeros(n)
-    ch1 = common + white_noise(config.shot_asd, fs, n, config.seed, STREAM_SHOT1)
-    ch2 = common + white_noise(config.shot_asd, fs, n, config.seed, STREAM_SHOT2)
+    # ch_i = shot_i + common, which rounds exactly as common + shot_i.
+    ch1 += common
+    ch2 += common
     return TimeSeriesPair(sample_rate=fs, ch1=ch1, ch2=ch2, common=common)

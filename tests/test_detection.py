@@ -26,10 +26,12 @@ from holonoise import (
 from holonoise.detection import (
     MIN_AVERAGES,
     SIGMA_THRESHOLD,
+    _cross_kernel,
     band_indices,
     band_statistic_null_variance,
     integration_time,
 )
+from holonoise.spectral import window_sequence
 
 FS = 5e7
 
@@ -257,6 +259,51 @@ def test_null_variance_rejects_zero_step():
     )
     with pytest.raises(DomainError, match="no advance"):
         band_statistic_null_variance(est, np.array([100]))
+
+
+def uncached_null_variance(estimate, idx):
+    """The null variance summed with every window kernel recomputed per term."""
+    length = estimate.segment_length
+    window = window_sequence(estimate.window, length)
+    step = length - int(round(length * estimate.overlap))
+    p12 = estimate.psd1[idx] * estimate.psd2[idx]
+    amp = np.sqrt(p12)
+    n_avg, n_bins = estimate.n_avg, len(idx)
+    total = 0.0
+    for dseg in range(n_avg):
+        shift = dseg * step
+        if shift >= length:
+            break
+        seg_weight = float(n_avg) if dseg == 0 else 2.0 * (n_avg - dseg)
+        for dbin in range(min(n_bins - 1, 8) + 1):
+            kern = _cross_kernel(window, shift, dbin)
+            if kern == 0.0:
+                continue
+            if dbin == 0:
+                pair_sum = float(p12.sum())
+            else:
+                pair_sum = 2.0 * float(np.dot(amp[:-dbin], amp[dbin:]))
+            total += seg_weight * kern * kern * pair_sum
+    return total / (2.0 * n_avg**2 * n_bins**2)
+
+
+@pytest.mark.parametrize("window,overlap,band", [
+    ("hann", 0.5, (0.0, 1e6)),
+    ("hann", 0.75, (2e5, 3e5)),
+    ("boxcar", 0.0, (0.0, 1e6)),
+    ("hann", 0.5, (1e5, 1.5e5)),  # one bin: max_dbin = 0
+])
+def test_cached_kernels_give_the_uncached_sigma(window, overlap, band):
+    # The kernel table is cached per (window, length, step, max_dbin); the
+    # variance, and so sigma, must be the per-term formula's bits.
+    cfg = ExperimentConfig(shot_asd=2e-20, n_samples=2**15, seed=6, segment_length=1024)
+    est = welch_csd(synthesize_pair(cfg), 1024, overlap=overlap, window=window)
+    idx = band_indices(est.freqs, band)
+    for _ in range(2):  # the first call fills the cache, the second reads it
+        assert band_statistic_null_variance(est, idx) == uncached_null_variance(est, idx)
+    stat = float(np.mean(est.csd[idx].real))
+    assert null_significance(est, band).sigma_level == stat / math.sqrt(
+        uncached_null_variance(est, idx))
 
 
 def test_null_zscores_standard_normal(model40):

@@ -118,6 +118,18 @@ def test_first_interference_minimum_at_one_sixth():
     assert math.sin(ha[i]) == pytest.approx(1.0 / 6.0, abs=2 * grid_step)
 
 
+@pytest.mark.parametrize("separation", [0.0, BOUND_1M, 3 * BOUND_1M, 50 * BOUND_1M])
+def test_sharp_pattern_is_the_undamped_product_bit_for_bit(separation):
+    # The sharp pattern is the blurred one at blur 0, whose damping is
+    # exactly 1: the bits are those of sinc^2 * cos^2 normalised directly.
+    s = gentle_setup(separation)
+    sin_t = np.sin(s.angles())
+    envelope = np.sinc(s.slit_width * sin_t / s.wavelength) ** 2
+    fringes = np.cos(np.pi * s.separation * sin_t / s.wavelength) ** 2
+    intensity = envelope * fringes
+    assert np.array_equal(fraunhofer_pattern(s), intensity / intensity.sum())
+
+
 # ------------------------------------------------------------ blurred patterns
 
 

@@ -7,9 +7,13 @@ brute-force O(n k) cross-covariance loop.
 """
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from holonoise import (
     DomainError,
@@ -23,6 +27,7 @@ from holonoise import (
     white_noise,
     xcorr,
 )
+from holonoise import _workers, spectral
 from holonoise.spectral import SEGMENT_CHUNK, hann_window, segment_count
 
 FS = 5e7
@@ -104,6 +109,89 @@ def test_welch_matches_scipy(window, overlap, detrend):
     for mine, ref in [(est.psd1, psd1), (est.psd2, psd2), (est.csd, csd),
                       (single.psd1, psd1)]:
         assert np.max(np.abs(mine - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+SEG, N_AVG = 1024, 613  # 20 chunks, the last of 5 segments
+
+
+@pytest.fixture(scope="module")
+def parity_pair():
+    cfg = ExperimentConfig(n_samples=2**19, seed=8, holo_scale=2.0)
+    full = synthesize_pair(cfg)
+    n = (N_AVG - 1) * SEG // 2 + SEG
+    return make_pair(full.ch1[:n] + 3e-16, full.ch2[:n], fs=cfg.sample_rate)
+
+
+def welch_bits(pair, window="hann", detrend="constant"):
+    """The bytes of both spectra of ``pair`` and of welch_psd of its ch2."""
+    est = welch_csd(pair, SEG, window=window, detrend=detrend)
+    single = welch_psd(pair.ch2, pair.sample_rate, SEG, window=window, detrend=detrend)
+    assert est.n_avg == single.n_avg == N_AVG
+    return [a.tobytes() for a in (est.psd1, est.psd2, est.csd, est.coherence, single.psd1)]
+
+
+@pytest.mark.parametrize("window,detrend", [("hann", "constant"), ("boxcar", False)])
+def test_welch_bits_do_not_depend_on_cpu_count(monkeypatch, cpus, parity_pair, window,
+                                               detrend):
+    # The 20 chunks split unevenly between two threads, and one channel's
+    # work is already above the thread floor, so welch_psd runs threaded too.
+    assert N_AVG % (SEGMENT_CHUNK * 2)
+    assert _workers.thread_count(20, N_AVG * SEG) == cpus
+    threads_before = threading.active_count()
+    got = welch_bits(parity_pair, window, detrend)
+    assert threading.active_count() == threads_before
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert got == welch_bits(parity_pair, window, detrend)
+
+
+def whole_chunk_spectra(pair, seg):
+    """Hann Welch spectra summed the plain way: each chunk of SEGMENT_CHUNK
+    segments in one FFT call, its sum added to the running total."""
+    win = hann_window(seg)
+    n_avg = segment_count(pair.n_samples, seg, 0.5)
+    views = [sliding_window_view(ch, seg)[:: seg // 2][:n_avg] for ch in (pair.ch1, pair.ch2)]
+    power = [np.zeros(seg // 2 + 1), np.zeros(seg // 2 + 1)]
+    cross = np.zeros(seg // 2 + 1, dtype=complex)
+    for start in range(0, n_avg, SEGMENT_CHUNK):
+        spectra = []
+        for view, acc in zip(views, power):
+            chunk = view[start : start + SEGMENT_CHUNK]
+            spec = np.fft.rfft((chunk - chunk.mean(axis=-1, keepdims=True)) * win)
+            acc += (spec.real**2 + spec.imag**2).sum(axis=0)
+            spectra.append(spec)
+        cross += (spectra[0].conj() * spectra[1]).sum(axis=0)
+    scale = np.full(seg // 2 + 1, 2.0 / (pair.sample_rate * float(np.dot(win, win)) * n_avg))
+    scale[0] /= 2.0
+    scale[-1] /= 2.0
+    return [a.tobytes() for a in (power[0] * scale, power[1] * scale, cross * scale)]
+
+
+@pytest.mark.parametrize("rows", [1, 13, 32, 100])
+def test_welch_bits_do_not_depend_on_fft_batch(monkeypatch, cpus, parity_pair, rows):
+    # Batches of other than 32 rows cut chunks into pieces or span several,
+    # and the row sums carry across the cuts; on two CPUs the chunks are
+    # also shared between threads.
+    monkeypatch.setattr(spectral, "FFT_BATCH_SAMPLES", rows * SEG)
+    assert welch_bits(parity_pair)[:3] == whole_chunk_spectra(parity_pair, SEG)
+
+
+def test_welch_threads_under_stress(monkeypatch, parity_pair):
+    # Eight workers on however few cores, switching every microsecond, all
+    # writing rows of the same chunk-sum arrays: a lost or misplaced row
+    # would change the bits.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(spectral, "FFT_BATCH_SAMPLES", 13 * SEG)
+    assert _workers.thread_count(20, N_AVG * SEG) == 8
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert welch_bits(parity_pair)[:3] == whole_chunk_spectra(parity_pair, SEG)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads_before
 
 
 # ------------------------------------------------------------------ PSD level

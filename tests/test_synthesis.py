@@ -7,6 +7,8 @@ sample variance scatters by a few percent.
 """
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from holonoise import (
     synthesize_pair,
     white_noise,
 )
+from holonoise import _workers, synthesis
 from holonoise.synthesis import (
     STREAM_COMMON,
     STREAM_SHOT1,
@@ -34,6 +37,18 @@ from holonoise.synthesis import (
 
 FS = 5e7
 N_LONG = 2**20
+
+
+def feed(row: np.ndarray):
+    """An ``increments`` source that hands out successive slices of ``row``."""
+    taken = 0
+
+    def fill(out):
+        nonlocal taken
+        out[:] = row[taken : taken + len(out)]
+        taken += len(out)
+
+    return fill
 
 
 @pytest.fixture(scope="module")
@@ -202,10 +217,44 @@ def test_common_linear_map_covariance_is_the_triangle(model40, fs):
     n = 64
     q, _ = window_split(model40, fs)
     unit_draws = np.eye(2 * (n + q)).reshape(-1, 2, n + q)
-    a = np.column_stack([brownian_difference(z, model40, fs) for z in unit_draws])
+    a = np.column_stack([brownian_difference(z[0], feed(z[1]), model40, fs)
+                         for z in unit_draws])
     lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / fs
     target = autocorrelation(model40, lags)
     assert np.max(np.abs(a @ a.T - target)) <= 1e-12 * model40.sigma2
+
+
+def one_shot_moving_sum(draws, model, fs):
+    """The moving sum of a whole (2, n + q) draw in one pass: one cumsum, one difference."""
+    q, r = window_split(model, fs)
+    n = draws.shape[1] - q
+    unit = model.sigma2 / (q + r)
+    b, u = draws.copy()
+    b *= math.sqrt(r * unit)
+    u *= math.sqrt((1.0 - r) * unit)
+    u += b
+    np.cumsum(u, out=u)
+    x = u[q:] - u[:n]
+    x += b[:n]
+    return x
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1000])
+def test_streamed_moving_sum_is_the_one_shot_sum(model40, monkeypatch, block):
+    # Summed SUM_BLOCK draws at a time (never fewer than q = 13), the series
+    # crosses many block boundaries and must still equal the single cumsum
+    # bit for bit, from explicit draws and from the generator alike.
+    monkeypatch.setattr(synthesis, "SUM_BLOCK", block)
+    n = 1000
+    q, _ = window_split(model40, FS)
+    draws = generator(77, STREAM_COMMON).standard_normal((2, n + q)) * 1e3
+    draws[1, ::97] = -0.0
+    expected = one_shot_moving_sum(draws, model40, FS)
+    streamed = brownian_difference(draws[0].copy(), feed(draws[1]), model40, FS)
+    assert streamed.tobytes() == expected.tobytes()
+    draws = generator(78, STREAM_COMMON).standard_normal((2, n + q))
+    assert (synthesize_common(model40, FS, n, seed=78).tobytes()
+            == one_shot_moving_sum(draws, model40, FS).tobytes())
 
 
 def test_common_exact_small_case_covariance(model40):
@@ -261,6 +310,24 @@ def test_pair_determinism():
     assert np.array_equal(a.ch1, b.ch1)
     assert np.array_equal(a.ch2, b.ch2)
     assert np.array_equal(a.common, b.common)
+
+
+@pytest.mark.parametrize("holo_scale", [0.0, 1.0])
+def test_pair_bits_do_not_depend_on_cpu_count(monkeypatch, cpus, holo_scale):
+    # 2^18 samples put the two or three streams above the thread floor, so
+    # with two CPUs they really are drawn on two threads.
+    cfg = ExperimentConfig(n_samples=2**18, seed=5, holo_scale=holo_scale)
+    assert _workers.thread_count(3, 2 * cfg.n_samples) == cpus
+    threads_before = threading.active_count()
+    pair = synthesize_pair(cfg)
+    assert threading.active_count() == threads_before
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = synthesize_pair(cfg)
+    for name in ("ch1", "ch2", "common"):
+        assert getattr(pair, name).tobytes() == getattr(serial, name).tobytes()
+    shot1 = white_noise(cfg.shot_asd, cfg.sample_rate, cfg.n_samples, 5, STREAM_SHOT1)
+    assert pair.ch1.tobytes() == (serial.common + shot1).tobytes()
 
 
 def test_pair_zero_shot_noise_identical_channels():
