@@ -47,7 +47,7 @@ from .model import (
     transverse_uncertainty,
 )
 from .slits import SlitSetup, fraunhofer_pattern, information_blurred_pattern, separation_sweep
-from .spectral import SpectralEstimate, welch_csd
+from .spectral import SpectralEstimate, segment_count, welch_csd
 from .synthesis import ExperimentConfig, TimeSeriesPair, synthesize_pair
 
 PRNG_IDENTIFIER = (
@@ -258,12 +258,14 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: dict[str, s
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_spectra(path: Path | None, est: SpectralEstimate) -> str:
+def _write_spectra(path: Path | None, est: SpectralEstimate, n_samples: int) -> str:
+    """Spectra of an ``n_samples`` series; the header fixes its ``n_avg``."""
     rows = np.column_stack(
         [est.freqs, est.psd1, est.psd2, est.csd.real, est.csd.imag, est.coherence]
     )
     meta = {
         "sample_rate_hz": est.sample_rate,
+        "n_samples": n_samples,
         "segment_length": est.segment_length,
         "overlap": est.overlap,
         "window": est.window,
@@ -280,20 +282,25 @@ def _write_spectra(path: Path | None, est: SpectralEstimate) -> str:
 
 def _estimate_from_csv(path: Path) -> SpectralEstimate:
     meta, data = _read_csv(path)
-    required = {"sample_rate_hz", "segment_length", "overlap", "window", "n_avg"}
+    required = {"sample_rate_hz", "n_samples", "segment_length", "overlap", "window", "n_avg"}
     missing = sorted(required - set(meta))
     if missing:
         raise DomainError(f"spectra file {path} lacks header fields: {', '.join(missing)}")
     if data.shape[1] != 6:
         raise DomainError(f"spectra file {path} must have 6 columns, found {data.shape[1]}")
     n_avg = _header_value(meta, "n_avg", path, int)
+    n_samples = _header_value(meta, "n_samples", path, int)
     segment_length = _header_value(meta, "segment_length", path, int)
     overlap = _header_value(meta, "overlap", path)
     sample_rate = _header_value(meta, "sample_rate_hz", path)
-    if not 0.0 <= overlap <= 0.75:
-        raise DomainError(f"spectra file {path}: overlap = {overlap!r} is outside [0, 0.75]")
-    if n_avg < 1:
-        raise DomainError(f"spectra file {path}: n_avg = {n_avg} is not a positive count")
+    # n_avg sets the null variance, so it must be the count the header's
+    # segmenting gives, not a number the file merely states.
+    expected = segment_count(n_samples, segment_length, overlap)
+    if n_avg != expected:
+        raise DomainError(
+            f"spectra file {path}: n_avg = {n_avg}, but n_samples = {n_samples}, "
+            f"segment_length = {segment_length} and overlap = {_fmt(overlap)} give {expected}"
+        )
     # The rows must be the whole Welch grid the header describes, so a file
     # cut short or with an edited header is refused rather than trusted.
     if len(data) != segment_length // 2 + 1:
@@ -456,7 +463,7 @@ def cmd_simulate(args) -> int:
     report = null_significance(estimate, band, predicted=prediction)
 
     outputs = {
-        "spectra.csv": _write_spectra(outdir / "spectra.csv", estimate),
+        "spectra.csv": _write_spectra(outdir / "spectra.csv", estimate, pair.n_samples),
         "report.json": _write_text(
             outdir / "report.json", json.dumps(_report_dict(report), indent=2) + "\n"
         ),
@@ -502,7 +509,7 @@ def cmd_analyze(args) -> int:
     common = data[:, 3] if data.shape[1] == 4 else np.zeros(len(data))
     pair = TimeSeriesPair(sample_rate=fs, ch1=data[:, 1], ch2=data[:, 2], common=common)
     estimate = welch_csd(pair, segment_length, overlap)
-    _write_spectra(Path(args.output) if args.output else None, estimate)
+    _write_spectra(Path(args.output) if args.output else None, estimate, pair.n_samples)
     return 0
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, UnreachableTargetError
 from .model import HolographicModel, psd_model
-from .spectral import SpectralEstimate, window_sequence
+from .spectral import SpectralEstimate, segment_step, window_sequence
 
 #: Minimum averages for the Gaussian-statistics regime.
 MIN_AVERAGES = 30
@@ -70,8 +70,7 @@ def band_indices(freqs: np.ndarray, band: tuple[float, float]) -> np.ndarray:
 
 def integration_time(n_avg: int, segment_length: int, overlap: float, sample_rate: float) -> float:
     """Wall-clock span of data consumed by n_avg overlapped segments, s."""
-    step = segment_length - int(round(segment_length * overlap))
-    return (segment_length + (n_avg - 1) * step) / sample_rate
+    return (segment_length + (n_avg - 1) * segment_step(segment_length, overlap)) / sample_rate
 
 
 def predicted_snr(
@@ -169,11 +168,7 @@ def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) ->
     rectangular window without overlap.
     """
     length = estimate.segment_length
-    step = length - int(round(length * estimate.overlap))
-    if step <= 0:
-        raise DomainError(
-            f"overlap = {estimate.overlap!r} leaves no advance between segments"
-        )
+    step = segment_step(length, estimate.overlap)
     n_avg = estimate.n_avg
     n_bins = len(idx)
     p12 = estimate.psd1[idx] * estimate.psd2[idx]

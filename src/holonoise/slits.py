@@ -18,7 +18,7 @@ scale, not the wavelength.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,17 +141,9 @@ def distinguishability(setup: SlitSetup, blur: float | None = None) -> PatternCo
     """Compare the blurred pattern against the blurred zero-separation one."""
     if blur is None:
         blur = transverse_uncertainty(setup.screen_distance)
-    single = SlitSetup(
-        separation=0.0,
-        slit_width=setup.slit_width,
-        screen_distance=setup.screen_distance,
-        wavelength=setup.wavelength,
-        n_angles=setup.n_angles,
-        angle_span=setup.angle_span,
-    )
     metric = _pattern_distance(
         information_blurred_pattern(setup, blur),
-        information_blurred_pattern(single, blur),
+        information_blurred_pattern(replace(setup, separation=0.0), blur),
     )
     return PatternComparison(
         separation=setup.separation,
@@ -169,7 +161,8 @@ def separation_sweep(
     """Distance metric over a log-spaced separation sweep around the bound.
 
     Returns (separations, metrics); the default sweep covers
-    [bound / span_factor, bound * span_factor].
+    [bound / span_factor, bound * span_factor].  Each point is
+    `distinguishability` at the bound's blur, against one shared reference.
     """
     bound = transverse_uncertainty(setup.screen_distance)
     if separations is None:
@@ -177,17 +170,11 @@ def separation_sweep(
             raise DomainError("sweep needs span_factor > 1 and n_points >= 3")
         separations = np.geomspace(bound / span_factor, bound * span_factor, n_points)
     separations = np.asarray(separations, dtype=float)
+    single = information_blurred_pattern(replace(setup, separation=0.0), bound)
     metrics = np.empty_like(separations)
     for i, d in enumerate(separations):
-        probe = SlitSetup(
-            separation=float(d),
-            slit_width=setup.slit_width,
-            screen_distance=setup.screen_distance,
-            wavelength=setup.wavelength,
-            n_angles=setup.n_angles,
-            angle_span=setup.angle_span,
-        )
-        metrics[i] = distinguishability(probe).distance_metric
+        probe = replace(setup, separation=float(d))
+        metrics[i] = _pattern_distance(information_blurred_pattern(probe, bound), single)
     return separations, metrics
 
 

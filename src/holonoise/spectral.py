@@ -11,9 +11,10 @@ sums carry scipy.signal's one-sided density scaling (Welch 1967;
 Heinzel, Ruediger & Schilling 2002): a flat input returns its ASD^2 level,
 and DC and Nyquist are not doubled.  Hann window and 50% overlap are the
 defaults, and the explicit segment count ``n_avg`` tells downstream
-detection statistics exactly how much averaging went in.  Only a window
-other than Hann, and `xcorr`, import ``scipy.signal``, inside the function
-that needs it, so the CLI never pays for that import.
+detection statistics exactly how much averaging went in.  The window is
+``hann`` or ``boxcar``, both in closed form, and `segment_step` is the one
+place the segment step and the overlap range are decided.  Everything here
+is numpy.
 """
 
 from __future__ import annotations
@@ -62,27 +63,25 @@ class XcorrEstimate:
     n: int             # series length used
 
 
-def segment_count(n: int, segment_length: int, overlap: float) -> int:
-    """Number of Welch segments for a series of length n."""
+def segment_step(segment_length: int, overlap: float) -> int:
+    """Samples from the start of one Welch segment to the next.
+
+    ``overlap`` must lie in [0, 0.75], and the step must be at least one
+    sample; every step and segment count is taken from here.
+    """
+    if not 0.0 <= overlap <= 0.75:
+        no_step = overlap >= 1.0
+        why = "leaves no advance between segments" if no_step else "is outside [0, 0.75]"
+        raise DomainError(f"overlap = {overlap!r} {why}")
     step = segment_length - int(round(segment_length * overlap))
     if step < 1:
-        raise DomainError("overlap leaves no advance between segments")
-    return (n - segment_length) // step + 1
+        raise DomainError(f"overlap = {overlap!r} leaves no advance between segments")
+    return step
 
 
-def _check_segmenting(n: int, segment_length: int, overlap: float) -> None:
-    if not isinstance(segment_length, int) or segment_length < 64 or (
-        segment_length & (segment_length - 1)
-    ):
-        raise DomainError(
-            f"segment_length must be a power of two >= 64, got {segment_length!r}"
-        )
-    if n < segment_length:
-        raise DomainError(
-            f"series of length {n} is shorter than one segment ({segment_length})"
-        )
-    if not 0.0 <= overlap <= 0.75:
-        raise DomainError(f"overlap must lie in [0, 0.75], got {overlap!r}")
+def segment_count(n: int, segment_length: int, overlap: float) -> int:
+    """Number of Welch segments for a series of length n."""
+    return (n - segment_length) // segment_step(segment_length, overlap) + 1
 
 
 def hann_window(length: int) -> np.ndarray:
@@ -92,15 +91,12 @@ def hann_window(length: int) -> np.ndarray:
 
 
 def window_sequence(window: str, length: int) -> np.ndarray:
-    """The periodic (FFT-bin) window ``window`` of ``length`` samples."""
+    """The periodic (FFT-bin) ``hann`` or ``boxcar`` window of ``length`` samples."""
     if window == "hann":
         return hann_window(length)
-    from scipy.signal import get_window
-
-    try:
-        return get_window(window, length, fftbins=True)
-    except ValueError as exc:
-        raise DomainError(f"unknown window {window!r}: {exc}") from exc
+    if window == "boxcar":
+        return np.ones(length)
+    raise DomainError(f"unknown window {window!r}: expected 'hann' or 'boxcar'")
 
 
 def _sum_rows(terms: np.ndarray, a: int, b: int, carry: bool, out: np.ndarray) -> None:
@@ -168,20 +164,28 @@ def _chunk_sums(segments, win, detrend, first, stop, work, power, cross):
 
 
 def _welch(channels, sample_rate, segment_length, overlap, window, detrend):
-    """One-pass Welch spectra of one channel or a pair.
+    """One-pass Welch spectra of one channel or a pair, as a SpectralEstimate.
 
-    Returns (freqs, n_avg, psds, csd): one PSD per channel and, for a pair,
-    the conj(X1) * X2 cross spectrum (None for a single channel).  Each
-    worker thread (see `_workers.tmap`) sums one contiguous group of chunks,
-    and the chunk sums are added in chunk order, so the result is the same
-    bits on any CPU count.
+    A single channel is the degenerate pair: psd2 = psd1, csd real and
+    coherence identically 1.  Each worker thread (see `_workers.tmap`) sums
+    one contiguous group of chunks, and the chunk sums are added in chunk
+    order, so the result is the same bits on any CPU count.
     """
     if not (detrend is False or detrend == "constant"):
         raise DomainError(f"detrend must be 'constant' or False, got {detrend!r}")
+    if not isinstance(segment_length, int) or segment_length < 64 or (
+        segment_length & (segment_length - 1)
+    ):
+        raise DomainError(
+            f"segment_length must be a power of two >= 64, got {segment_length!r}"
+        )
     n = len(channels[0])
-    _check_segmenting(n, segment_length, overlap)
+    if n < segment_length:
+        raise DomainError(
+            f"series of length {n} is shorter than one segment ({segment_length})"
+        )
+    step = segment_step(segment_length, overlap)
     n_avg = segment_count(n, segment_length, overlap)
-    step = segment_length - int(round(segment_length * overlap))
     win = window_sequence(window, segment_length)
     n_freq = segment_length // 2 + 1
 
@@ -213,8 +217,28 @@ def _welch(channels, sample_rate, segment_length, overlap, window, detrend):
     scale = np.full(n_freq, 2.0 / (sample_rate * float(np.dot(win, win)) * n_avg))
     scale[0] /= 2.0
     scale[-1] /= 2.0
-    freqs = np.fft.rfftfreq(segment_length, 1.0 / sample_rate)
-    return freqs, n_avg, [acc * scale for acc in psds], csd * scale if len(channels) == 2 else None
+    psds = [acc * scale for acc in psds]
+    if len(channels) == 1:
+        (psd1,) = psds
+        psd2, csd, coherence = psd1.copy(), psd1.astype(complex), np.ones(n_freq)
+    else:
+        (psd1, psd2), csd = psds, csd * scale
+        denom = psd1 * psd2
+        coherence = np.zeros(n_freq)
+        np.divide(np.abs(csd) ** 2, denom, out=coherence, where=denom > 0.0)
+        np.clip(coherence, 0.0, 1.0, out=coherence)
+    return SpectralEstimate(
+        freqs=np.fft.rfftfreq(segment_length, 1.0 / sample_rate),
+        psd1=psd1,
+        psd2=psd2,
+        csd=csd,
+        coherence=coherence,
+        n_avg=n_avg,
+        segment_length=segment_length,
+        overlap=overlap,
+        window=window,
+        sample_rate=sample_rate,
+    )
 
 
 def welch_psd(
@@ -237,8 +261,8 @@ def welch_psd(
         Samples per segment (power of two).
     overlap : float, optional
         Fractional segment overlap in [0, 0.75].
-    window : str, optional
-        Window name understood by scipy.signal.get_window.
+    window : "hann" or "boxcar", optional
+        Periodic window applied to every segment.
     detrend : "constant" or False, optional
         The default removes each segment's mean; False leaves segments as is.
 
@@ -247,21 +271,7 @@ def welch_psd(
     SpectralEstimate
         With psd1 = psd2 = the PSD, csd real, coherence identically 1.
     """
-    freqs, n_avg, (psd,), _ = _welch(
-        [series], sample_rate, segment_length, overlap, window, detrend
-    )
-    return SpectralEstimate(
-        freqs=freqs,
-        psd1=psd,
-        psd2=psd.copy(),
-        csd=psd.astype(complex),
-        coherence=np.ones_like(psd),
-        n_avg=n_avg,
-        segment_length=segment_length,
-        overlap=overlap,
-        window=window,
-        sample_rate=sample_rate,
-    )
+    return _welch([series], sample_rate, segment_length, overlap, window, detrend)
 
 
 def welch_csd(
@@ -278,24 +288,8 @@ def welch_csd(
     averaged spectra and clipped to [0, 1]; bins with zero PSD product get
     coherence 0.
     """
-    freqs, n_avg, (psd1, psd2), csd = _welch(
+    return _welch(
         [pair.ch1, pair.ch2], pair.sample_rate, segment_length, overlap, window, detrend
-    )
-    denom = psd1 * psd2
-    coherence = np.zeros_like(psd1)
-    np.divide(np.abs(csd) ** 2, denom, out=coherence, where=denom > 0.0)
-    np.clip(coherence, 0.0, 1.0, out=coherence)
-    return SpectralEstimate(
-        freqs=freqs,
-        psd1=psd1,
-        psd2=psd2,
-        csd=csd,
-        coherence=coherence,
-        n_avg=n_avg,
-        segment_length=segment_length,
-        overlap=overlap,
-        window=window,
-        sample_rate=pair.sample_rate,
     )
 
 
@@ -306,8 +300,6 @@ def xcorr(pair: TimeSeriesPair, max_lag: float) -> XcorrEstimate:
     1/(n - |k|) unbiased normalization, evaluated on the sample-lag grid.
     max_lag may not exceed a quarter of the series duration.
     """
-    from scipy import signal
-
     n = pair.n_samples
     dt = 1.0 / pair.sample_rate
     if not math.isfinite(max_lag) or max_lag <= 0.0:
@@ -321,8 +313,9 @@ def xcorr(pair: TimeSeriesPair, max_lag: float) -> XcorrEstimate:
         raise DomainError("max_lag is below one sample interval")
     x = pair.ch1 - pair.ch1.mean()
     y = pair.ch2 - pair.ch2.mean()
-    # full correlation c[n - 1 + k] = sum_t x[t] y[t + k]
-    full = signal.correlate(y, x, mode="full", method="fft")
+    # Zero-padded to nfft >= 2n - 1, so the circular correlation
+    # c[k] = sum_t x[t] y[t + k] does not wrap; lag -k sits at c[nfft - k].
+    nfft = 1 << (2 * n - 1).bit_length()
+    c = np.fft.irfft(np.conjugate(np.fft.rfft(x, nfft)) * np.fft.rfft(y, nfft), nfft)
     k = np.arange(-kmax, kmax + 1)
-    xcov = full[n - 1 + k[0] : n + k[-1]] / (n - np.abs(k))
-    return XcorrEstimate(lags=k * dt, xcov=xcov, n=n)
+    return XcorrEstimate(lags=k * dt, xcov=c[k] / (n - np.abs(k)), n=n)

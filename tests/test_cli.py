@@ -275,7 +275,7 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
     assert "common=0 (Brownian-difference moving sum)" in manifest["prng"]
-    assert manifest["version"] == holonoise.__version__ == "0.3.0"
+    assert manifest["version"] == holonoise.__version__ == "0.4.0"
     import hashlib
 
     for name, digest in manifest["outputs"].items():
@@ -379,10 +379,11 @@ def test_analyze_rejects_malformed_csv(tmp_path):
     assert main(["analyze", "--timeseries", str(bad)]) == 1
 
 
-@pytest.mark.parametrize("field,value", [("n_avg", "1023.5"), ("segment_length", "1024.0")])
+@pytest.mark.parametrize("field,value", [("n_avg", "1023.5"), ("segment_length", "1024.0"),
+                                         ("n_samples", "32768.0")])
 def test_detect_rejects_non_integer_header(tmp_path, field, value):
-    header = {"sample_rate_hz": "5e7", "segment_length": "1024", "overlap": "0.5",
-              "window": "hann", "n_avg": "63"}
+    header = {"sample_rate_hz": "5e7", "n_samples": "32768", "segment_length": "1024",
+              "overlap": "0.5", "window": "hann", "n_avg": "63"}
     header[field] = value
     bad = tmp_path / "spectra.csv"
     bad.write_text(
@@ -393,6 +394,39 @@ def test_detect_rejects_non_integer_header(tmp_path, field, value):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert field in proc.stderr
+
+
+def test_detect_rejects_forged_n_avg(tmp_path, config_path):
+    # n_avg sets the null variance: editing 63 to 6300 used to turn sigma
+    # 0.63 into a 6.25-sigma "detection".  The header's n_samples,
+    # segment_length and overlap fix n_avg, so the edit is refused.
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path),
+                 "--output-dir", str(rundir)]) == 0
+    spectra = rundir / "spectra.csv"
+    text = spectra.read_text()
+    assert "# n_samples = 32768\n" in text and "# n_avg = 63\n" in text
+    spectra.write_text(text.replace("# n_avg = 63\n", "# n_avg = 6300\n"))
+    proc = run_python("-m", "holonoise.cli", "detect", "--estimate", str(spectra),
+                      "--band", "0:1e6")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "n_avg = 6300" in proc.stderr and "give 63" in proc.stderr
+
+
+def test_detect_requires_n_samples(tmp_path, config_path):
+    # A spectra file without the series length cannot vouch for its n_avg.
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path),
+                 "--output-dir", str(rundir)]) == 0
+    spectra = rundir / "spectra.csv"
+    spectra.write_text(spectra.read_text().replace("# n_samples = 32768\n", ""))
+    out = tmp_path / "detect.json"
+    assert main(["detect", "--estimate", str(spectra), "--band", "0:1e6",
+                 "--output", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_detect_rejects_truncated_spectra(tmp_path, config_path):
@@ -533,6 +567,43 @@ def test_cli_import_does_not_load_scipy_signal(tmp_path, config_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == lines[-1] == "[False, False, False]"
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path, config_path):
+    # numpy is the only runtime dependency: with every scipy import refused,
+    # all seven subcommands, and xcorr, still work.
+    run = str(tmp_path / "run")
+    script = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ModuleNotFoundError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import holonoise\n"
+        "from holonoise.cli import main\n"
+        f"run = {run!r}\n"
+        "argvs = [\n"
+        "    ['constants', '--output', run + '/constants.json'],\n"
+        "    ['predict', '--arm-length', '40', '--output', run + '/predict.csv'],\n"
+        "    ['info', '--length', '1.3e26', '--output', run + '/info.json'],\n"
+        "    ['slits', '--screen-distance', '1', '--sweep', '--output', run + '/sweep.csv'],\n"
+        f"    ['simulate', '--config', {str(config_path)!r}, '--output-dir', run,\n"
+        "     '--dump-timeseries'],\n"
+        "    ['analyze', '--timeseries', run + '/timeseries.csv',\n"
+        "     '--output', run + '/analyzed.csv'],\n"
+        "    ['detect', '--estimate', run + '/analyzed.csv', '--band', '0:3.7e6',\n"
+        "     '--output', run + '/detect.json'],\n"
+        "]\n"
+        "print([main(argv) for argv in argvs])\n"
+        "pair = holonoise.synthesize_pair(holonoise.ExperimentConfig(n_samples=2**15))\n"
+        "holonoise.xcorr(pair, max_lag=1e-6)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    (tmp_path / "run").mkdir()
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 0, 0]", "[]"]
 
 
 def test_console_script_smoke():

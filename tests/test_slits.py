@@ -182,6 +182,13 @@ def test_sweep_monotone_nondecreasing():
     assert metrics[-1] > 0.5
 
 
+def test_sweep_is_distinguishability_per_point_bit_for_bit():
+    # The sweep shares one single-slit reference among its points.
+    seps, metrics = separation_sweep(gentle_setup(0.0), n_points=9)
+    for d, metric in zip(seps, metrics):
+        assert metric == distinguishability(gentle_setup(float(d))).distance_metric
+
+
 def test_sweep_spans_bound():
     seps, _ = separation_sweep(gentle_setup(0.0))
     assert seps[0] == pytest.approx(BOUND_1M / 30, rel=1e-12)

@@ -1,6 +1,6 @@
 """Tests for the Welch spectra and cross-covariance estimators.
 
-Oracles: scipy.signal's window and Welch routines, the white-noise
+Oracles: scipy.signal's window, Welch and correlate routines, the white-noise
 generator's variance formula, Parseval's theorem (exact for a rectangular
 window with no overlap and no detrending), a bin-centered sinusoid, and a
 brute-force O(n k) cross-covariance loop.
@@ -28,7 +28,13 @@ from holonoise import (
     xcorr,
 )
 from holonoise import _workers, spectral
-from holonoise.spectral import SEGMENT_CHUNK, hann_window, segment_count
+from holonoise.spectral import (
+    SEGMENT_CHUNK,
+    hann_window,
+    segment_count,
+    segment_step,
+    window_sequence,
+)
 
 FS = 5e7
 
@@ -54,6 +60,20 @@ def test_segment_count_partial_tail_dropped():
     assert segment_count(1000, 256, 0.0) == 3
 
 
+def test_segment_step_owns_the_overlap_range():
+    assert segment_step(1024, 0.5) == 512
+    assert segment_step(1024, 0.75) == 256
+    assert segment_step(8192, 0.0) == 8192
+    for bad in (1.0, 1.5):
+        with pytest.raises(DomainError, match="no advance"):
+            segment_step(1024, bad)
+    for bad in (-0.25, 0.9, math.nan):
+        with pytest.raises(DomainError, match=r"overlap = .* is outside \[0, 0.75\]"):
+            segment_step(1024, bad)
+    with pytest.raises(DomainError, match="no advance"):
+        segment_count(1024, 2, 0.75)  # round(1.5) = 2 leaves a step of 0
+
+
 def test_invalid_segmenting():
     x = np.zeros(512)
     with pytest.raises(DomainError):
@@ -72,6 +92,9 @@ def test_invalid_detrend_and_window():
         welch_psd(x, FS, 256, detrend="linear")
     with pytest.raises(DomainError, match="unknown window 'bogus'"):
         welch_psd(x, FS, 256, window="bogus")
+    # Only hann and boxcar exist: other scipy window names are refused.
+    with pytest.raises(DomainError, match="unknown window 'hamming'"):
+        welch_psd(x, FS, 256, window="hamming")
 
 
 # ------------------------------------------------------------- scipy oracle
@@ -82,6 +105,14 @@ def test_hann_window_is_scipys(length):
     from scipy.signal import get_window
 
     assert np.array_equal(hann_window(length), get_window("hann", length, fftbins=True))
+
+
+@pytest.mark.parametrize("length", [64, 1024, 8192])
+def test_boxcar_window_is_scipys(length):
+    from scipy.signal import get_window
+
+    assert np.array_equal(window_sequence("boxcar", length),
+                          get_window("boxcar", length, fftbins=True))
 
 
 @pytest.mark.parametrize("window,overlap", [("hann", 0.5), ("hann", 0.25), ("boxcar", 0.0)])
@@ -351,6 +382,21 @@ def test_xcorr_matches_brute_force():
     assert est.lags[0] == -float(kmax)
     assert est.lags[-1] == float(kmax)
     assert est.n == n
+
+
+@pytest.mark.parametrize("n", [512, 2**18 + 3])
+def test_xcorr_matches_scipy_correlate(n):
+    from scipy import signal
+
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n)
+    b = rng.standard_normal(n) + 0.5 * np.roll(a, 3)
+    kmax = n // 4
+    est = xcorr(make_pair(a, b, fs=1.0), max_lag=float(kmax))
+    full = signal.correlate(b - b.mean(), a - a.mean(), mode="full", method="fft")
+    k = np.arange(-kmax, kmax + 1)
+    ref = full[n - 1 + k] / (n - np.abs(k))
+    assert np.max(np.abs(est.xcov - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_xcorr_recovers_triangle():
