@@ -47,7 +47,7 @@ from .model import (
     transverse_uncertainty,
 )
 from .slits import SlitSetup, fraunhofer_pattern, information_blurred_pattern, separation_sweep
-from .spectral import SpectralEstimate, segment_count, welch_csd
+from .spectral import SpectralEstimate, coherence_of, segment_count, welch_csd
 from .synthesis import ExperimentConfig, TimeSeriesPair, synthesize_pair
 
 PRNG_IDENTIFIER = (
@@ -318,12 +318,23 @@ def _estimate_from_csv(path: Path) -> SpectralEstimate:
             f"spectra file {path}: frequency column is not the Welch grid "
             f"rfftfreq({segment_length}, 1/{_fmt(sample_rate)})"
         )
+    # The columns must be spectra a Welch pair could have produced, so an
+    # edited value is refused rather than turned into a sigma.
+    psd1, psd2, csd, coherence = data[:, 1], data[:, 2], data[:, 3] + 1j * data[:, 4], data[:, 5]
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"spectra file {path} holds a non-finite value")
+    if np.any(psd1 < 0.0) or np.any(psd2 < 0.0):
+        raise DomainError(f"spectra file {path} holds a negative PSD")
+    if np.any(np.abs(csd) ** 2 > psd1 * psd2 * (1.0 + 1e-12)):
+        raise DomainError(f"spectra file {path}: |csd|^2 exceeds psd1 * psd2")
+    if np.any(np.abs(coherence - coherence_of(psd1, psd2, csd)) > 1e-12):
+        raise DomainError(f"spectra file {path}: coherence is not |csd|^2 / (psd1 * psd2)")
     return SpectralEstimate(
         freqs=data[:, 0],
-        psd1=data[:, 1],
-        psd2=data[:, 2],
-        csd=data[:, 3] + 1j * data[:, 4],
-        coherence=data[:, 5],
+        psd1=psd1,
+        psd2=psd2,
+        csd=csd,
+        coherence=coherence,
         n_avg=n_avg,
         segment_length=segment_length,
         overlap=overlap,

@@ -5,16 +5,20 @@ over a frequency band.  Its expectation under signal is the band-averaged
 model spectrum; under the null (independent channels) it is zero-mean
 Gaussian once ``n_avg >= 30`` segments are averaged.
 
-The null variance is computed exactly for the Welch estimator actually
-used, from the window sequence itself: overlapping segments are correlated,
-adjacent frequency bins are correlated through the window transform, and
-each per-bin real part carries half the P1*P2 product.  Against the naive
-``P1 P2 / (2 n_avg B)`` for a band of B bins, a Hann window at 50% overlap
-inflates the variance to ``1 + 2 (K - 1) / K * (1/6)^2`` (about 1.056 at
-K = n_avg = 1023) for a single bin, 1/6 being the window's correlation with
-itself shifted by half a segment, and to about 2.11 for a 1000-bin band,
-where neighbouring bins share the window transform.  That matters when the
-z-scores are required to be standard normal.
+The null variance is exact for white channels and the Welch estimator
+actually used, computed from the window sequence itself: overlapping
+segments are correlated, every pair of bins k, k' is correlated through the
+window transform at k - k' and through its image at k + k', and each
+per-bin real part carries half the P1*P2 product.  Per-segment mean removal
+leaves bins >= 2 untouched for both windows, so the variance is the same
+with or without it; for coloured channels the measured P1*P2 levels stand
+in per bin.  Against the naive ``P1 P2 / (2 n_avg B)`` for a band of B
+bins, a Hann window at 50% overlap inflates the variance to
+``1 + 2 (K - 1) / K * (1/6)^2`` (about 1.056 at K = n_avg = 1023) for a
+single bin, 1/6 being the window's correlation with itself shifted by half
+a segment, and to about 2.11 for a 1000-bin band, where neighbouring bins
+share the window transform.  That matters when the z-scores are required to
+be standard normal.
 
 Band selection excludes the first two bins (per-segment mean removal biases
 the DC-adjacent bin through the window transform) and the Nyquist bin; the
@@ -24,7 +28,6 @@ comparable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -133,59 +136,37 @@ def integration_time_for(
     return integration_time(n_req, segment_length, overlap, sample_rate)
 
 
-def _cross_kernel(window: np.ndarray, shift: int, dbin: int) -> float:
-    """|sum_j w[j] w[j+shift] e^(-2 pi i j dbin / L)| / sum_j w[j]^2."""
-    length = len(window)
-    if shift >= length:
-        return 0.0
-    prod = window[: length - shift] * window[shift:]
-    j = np.arange(length - shift)
-    phase = np.exp(-2j * np.pi * j * dbin / length)
-    return abs(np.dot(prod, phase)) / float(np.dot(window, window))
-
-
-@functools.lru_cache(maxsize=32)
-def _kernel_table(window: str, length: int, step: int, max_dbin: int) -> tuple:
-    """`_cross_kernel` for every overlapping segment lag and every dbin <= max_dbin.
-
-    Row d is the lag d * step.  The table depends only on its arguments, so
-    it is computed once per (window, length, step, max_dbin) and reused.
-    """
-    win = window_sequence(window, length)
-    return tuple(
-        tuple(_cross_kernel(win, dseg * step, dbin) for dbin in range(max_dbin + 1))
-        for dseg in range(-(-length // step))
-    )
-
-
 def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) -> float:
     """Variance of mean(Re csd[idx]) under independent channels.
 
-    Sums the exact covariance of the Welch cross-spectral real parts over
-    all segment pairs (overlap correlation) and bin pairs (window-transform
-    correlation), using the measured per-channel spectra for the P1*P2
-    levels.  Reduces to P1 P2 / (2 K B) per the classic result for a
-    rectangular window without overlap.
+    ``idx`` is the contiguous run of bins that `band_indices` returns.  For
+    white channels the covariance of Re csd at bins k and k' is P1 P2 / 2
+    times |W_s(k - k')|^2 + |W_s(k + k')|^2, summed over segment pairs at
+    lag s, with W_s the length-L transform of w[j] w[j + s].  The lag kernel
+    sums those over every overlapping lag, and one rfft of sqrt(P1 P2)[idx]
+    gives its autocorrelation (read at k - k') and self-convolution (read
+    at k + k'), so every bin pair is counted.  Reduces to P1 P2 / (2 K B)
+    for a rectangular window without overlap.
     """
     length = estimate.segment_length
     step = segment_step(length, estimate.overlap)
     n_avg = estimate.n_avg
     n_bins = len(idx)
-    p12 = estimate.psd1[idx] * estimate.psd2[idx]
-    amp = np.sqrt(p12)
-    max_dbin = min(n_bins - 1, 8)
-    kernels = _kernel_table(estimate.window, length, step, max_dbin)
-    pair_sums = [float(p12.sum())] + [
-        2.0 * float(np.dot(amp[:-dbin], amp[dbin:])) for dbin in range(1, max_dbin + 1)
-    ]
-    total = 0.0
-    for dseg, row in enumerate(kernels[:n_avg]):
+    win = window_sequence(estimate.window, length)
+    kernel = np.zeros(length)
+    for dseg in range(min(n_avg, -(-length // step))):
+        shift = dseg * step
         seg_weight = float(n_avg) if dseg == 0 else 2.0 * (n_avg - dseg)
-        for kern, pair_sum in zip(row, pair_sums):
-            if kern == 0.0:
-                continue
-            total += seg_weight * kern * kern * pair_sum
-    return total / (2.0 * n_avg**2 * n_bins**2)
+        lag_transform = np.fft.fft(win[: length - shift] * win[shift:], length)
+        kernel += seg_weight * np.abs(lag_transform) ** 2
+    amp = np.sqrt(estimate.psd1[idx] * estimate.psd2[idx])
+    nfft = 1 << (2 * n_bins - 1).bit_length()
+    spec = np.fft.rfft(amp, nfft)
+    auto = np.fft.irfft(spec * np.conjugate(spec), nfft)[:n_bins]
+    conv = np.fft.irfft(spec * spec, nfft)[: 2 * n_bins - 1]
+    diff_sum = 2.0 * float(np.dot(auto, kernel[:n_bins])) - auto[0] * kernel[0]
+    image_sum = float(np.dot(conv, kernel[(2 * idx[0] + np.arange(2 * n_bins - 1)) % length]))
+    return (diff_sum + image_sum) / (2.0 * n_avg**2 * n_bins**2 * float(np.dot(win, win)) ** 2)
 
 
 def null_significance(
@@ -206,11 +187,12 @@ def null_significance(
         )
     idx = band_indices(estimate.freqs, band)
     stat = float(np.mean(estimate.csd[idx].real))
+    if not (np.all(estimate.psd1[idx] >= 0.0) and np.all(estimate.psd2[idx] >= 0.0)):
+        raise DomainError(f"band {band!r} holds a negative or NaN PSD value")
     variance = band_statistic_null_variance(estimate, idx)
-    if variance > 0.0:
-        sigma_level = stat / math.sqrt(variance)
-    else:
-        sigma_level = 0.0
+    if not (math.isfinite(stat) and math.isfinite(variance)) or (variance == 0.0 and stat != 0.0):
+        raise DomainError(f"band statistic {stat!r} over null variance {variance!r} is no z-score")
+    sigma_level = stat / math.sqrt(variance) if variance > 0.0 else 0.0
     pvalue = 0.5 * math.erfc(sigma_level / math.sqrt(2.0))
     if predicted is not None and (not math.isfinite(predicted) or predicted < 0.0):
         raise DomainError(f"predicted SNR must be >= 0, got {predicted!r}")

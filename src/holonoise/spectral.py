@@ -99,6 +99,14 @@ def window_sequence(window: str, length: int) -> np.ndarray:
     raise DomainError(f"unknown window {window!r}: expected 'hann' or 'boxcar'")
 
 
+def coherence_of(psd1: np.ndarray, psd2: np.ndarray, csd: np.ndarray) -> np.ndarray:
+    """|csd|^2 / (psd1 psd2) clipped to [0, 1], and 0 where psd1 psd2 is 0."""
+    denom = psd1 * psd2
+    coherence = np.zeros(len(denom))
+    np.divide(np.abs(csd) ** 2, denom, out=coherence, where=denom > 0.0)
+    return np.clip(coherence, 0.0, 1.0, out=coherence)
+
+
 def _sum_rows(terms: np.ndarray, a: int, b: int, carry: bool, out: np.ndarray) -> None:
     """``out`` = terms[a + 1], ..., terms[b] added in order, after ``out`` when ``carry``.
 
@@ -223,10 +231,7 @@ def _welch(channels, sample_rate, segment_length, overlap, window, detrend):
         psd2, csd, coherence = psd1.copy(), psd1.astype(complex), np.ones(n_freq)
     else:
         (psd1, psd2), csd = psds, csd * scale
-        denom = psd1 * psd2
-        coherence = np.zeros(n_freq)
-        np.divide(np.abs(csd) ** 2, denom, out=coherence, where=denom > 0.0)
-        np.clip(coherence, 0.0, 1.0, out=coherence)
+        coherence = coherence_of(psd1, psd2, csd)
     return SpectralEstimate(
         freqs=np.fft.rfftfreq(segment_length, 1.0 / sample_rate),
         psd1=psd1,

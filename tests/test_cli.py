@@ -275,7 +275,7 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
     assert "common=0 (Brownian-difference moving sum)" in manifest["prng"]
-    assert manifest["version"] == holonoise.__version__ == "0.4.0"
+    assert manifest["version"] == holonoise.__version__ == "0.5.0"
     import hashlib
 
     for name, digest in manifest["outputs"].items():
@@ -500,6 +500,59 @@ def test_detect_rejects_out_of_range_segmenting(tmp_path, config_path, edits):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert next(iter(edits)) in proc.stderr
+
+
+BAND_ROWS = range(2, 21)  # the bins of --band 0:1e6 on the 1024-sample grid
+
+
+def negate_psd1(rows):
+    rows[10][1] = "-" + rows[10][1]
+
+
+def nan_psd1(rows):
+    rows[10][1] = "nan"
+
+
+def inf_csd_re(rows):
+    rows[10][3] = "inf"
+
+
+def zero_band_psds(rows):
+    for k in BAND_ROWS:
+        rows[k][1] = rows[k][2] = "0"
+
+
+def halve_coherence(rows):
+    rows[10][5] = repr(float(rows[10][5]) / 2.0)
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (negate_psd1, "negative PSD"),
+    (nan_psd1, "non-finite"),
+    (inf_csd_re, "non-finite"),
+    (zero_band_psds, "exceeds psd1 * psd2"),
+    (halve_coherence, "coherence"),
+])
+def test_detect_rejects_inconsistent_columns(tmp_path, config_path, edit, reason):
+    # Each edit used to exit 0: sigma 0.0 for the first, second and fourth,
+    # and a "sigma_level": Infinity that is not JSON for the third.
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path),
+                 "--output-dir", str(rundir)]) == 0
+    spectra = rundir / "spectra.csv"
+    lines = spectra.read_text().splitlines()
+    head = [line for line in lines if line.startswith("#")]
+    rows = [line.split(",") for line in lines[len(head):]]
+    assert all(float(rows[k][3]) != 0.0 for k in BAND_ROWS)
+    edit(rows)
+    spectra.write_text("\n".join(head + [",".join(row) for row in rows]) + "\n")
+    proc = run_python("-m", "holonoise.cli", "detect", "--estimate", str(spectra),
+                      "--band", "0:1e6")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert reason in proc.stderr
 
 
 def test_analyze_one_row_without_sample_rate(tmp_path):

@@ -6,6 +6,8 @@ the sharpest check that the window/overlap-exact null variance is right
 (a naive P1*P2/n_avg count would inflate the variance by ~10%).
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -26,12 +28,11 @@ from holonoise import (
 from holonoise.detection import (
     MIN_AVERAGES,
     SIGMA_THRESHOLD,
-    _cross_kernel,
     band_indices,
     band_statistic_null_variance,
     integration_time,
 )
-from holonoise.spectral import window_sequence
+from holonoise.spectral import segment_count, segment_step, window_sequence
 
 FS = 5e7
 
@@ -261,49 +262,85 @@ def test_null_variance_rejects_zero_step():
         band_statistic_null_variance(est, np.array([100]))
 
 
-def uncached_null_variance(estimate, idx):
-    """The null variance summed with every window kernel recomputed per term."""
-    length = estimate.segment_length
-    window = window_sequence(estimate.window, length)
-    step = length - int(round(length * estimate.overlap))
-    p12 = estimate.psd1[idx] * estimate.psd2[idx]
-    amp = np.sqrt(p12)
-    n_avg, n_bins = estimate.n_avg, len(idx)
-    total = 0.0
-    for dseg in range(n_avg):
-        shift = dseg * step
-        if shift >= length:
-            break
-        seg_weight = float(n_avg) if dseg == 0 else 2.0 * (n_avg - dseg)
-        for dbin in range(min(n_bins - 1, 8) + 1):
-            kern = _cross_kernel(window, shift, dbin)
-            if kern == 0.0:
-                continue
-            if dbin == 0:
-                pair_sum = float(p12.sum())
-            else:
-                pair_sum = 2.0 * float(np.dot(amp[:-dbin], amp[dbin:]))
-            total += seg_weight * kern * kern * pair_sum
-    return total / (2.0 * n_avg**2 * n_bins**2)
+def frobenius_null_variance(n, length, overlap, window, idx, detrend):
+    """||M||_F^2 for the band statistic x1^T M x2 of unit white channels at fs = 1.
+
+    M is built densely from the window, the mean removal, every segment and
+    the one-sided scaling, so its squared Frobenius norm is the statistic's
+    exact null variance.
+    """
+    step = segment_step(length, overlap)
+    n_avg = segment_count(n, length, overlap)
+    win = window_sequence(window, length)
+    rows = np.exp(-2j * np.pi * np.outer(idx, np.arange(length)) / length) * win
+    if detrend:
+        rows = rows - rows.mean(axis=1, keepdims=True)
+    block = (rows.conj().T @ rows).real * 2.0 / (float(win @ win) * n_avg * len(idx))
+    m = np.zeros((n, n))
+    for seg in range(n_avg):
+        lo = seg * step
+        m[lo : lo + length, lo : lo + length] += block
+    return float(np.sum(m * m)), n_avg
+
+
+def test_null_variance_is_the_exact_bilinear_form_variance():
+    # Unit white channels at fs = 1 have the flat one-sided PSD 2.  Every
+    # bin offset and the image term at k + k' count, so both windows agree
+    # with the dense form to rounding, at every overlap, with or without
+    # mean removal, on an 11-bin band and on the full band.
+    n, length = 1024, 128
+    freqs = np.fft.rfftfreq(length, 1.0)
+    flat = np.full(len(freqs), 2.0)
+    cases = itertools.product(
+        ["hann", "boxcar"], [0.0, 0.25, 0.5, 0.75],
+        [(20 / length, 30 / length), (0.0, 0.5)], ["constant", False],
+    )
+    for window, overlap, band, detrend in cases:
+        idx = band_indices(freqs, band)
+        exact, n_avg = frobenius_null_variance(n, length, overlap, window, idx, detrend)
+        est = SpectralEstimate(
+            freqs=freqs, psd1=flat, psd2=flat, csd=np.zeros(len(freqs), complex),
+            coherence=np.zeros(len(freqs)), n_avg=n_avg, segment_length=length,
+            overlap=overlap, window=window, sample_rate=1.0,
+        )
+        assert band_statistic_null_variance(est, idx) == pytest.approx(exact, rel=1e-12), (
+            window, overlap, band, detrend)
 
 
 @pytest.mark.parametrize("window,overlap,band", [
     ("hann", 0.5, (0.0, 1e6)),
     ("hann", 0.75, (2e5, 3e5)),
     ("boxcar", 0.0, (0.0, 1e6)),
-    ("hann", 0.5, (1e5, 1.5e5)),  # one bin: max_dbin = 0
+    ("hann", 0.5, (1e5, 1.5e5)),  # one bin
 ])
-def test_cached_kernels_give_the_uncached_sigma(window, overlap, band):
-    # The kernel table is cached per (window, length, step, max_dbin); the
-    # variance, and so sigma, must be the per-term formula's bits.
+def test_sigma_is_the_statistic_over_the_null_deviation(window, overlap, band):
     cfg = ExperimentConfig(shot_asd=2e-20, n_samples=2**15, seed=6, segment_length=1024)
     est = welch_csd(synthesize_pair(cfg), 1024, overlap=overlap, window=window)
     idx = band_indices(est.freqs, band)
-    for _ in range(2):  # the first call fills the cache, the second reads it
-        assert band_statistic_null_variance(est, idx) == uncached_null_variance(est, idx)
     stat = float(np.mean(est.csd[idx].real))
     assert null_significance(est, band).sigma_level == stat / math.sqrt(
-        uncached_null_variance(est, idx))
+        band_statistic_null_variance(est, idx))
+
+
+def edited_estimate(column, value, bins):
+    """A 2^15-sample null estimate with ``bins`` of ``column`` set to ``value``."""
+    cfg = ExperimentConfig(holo_scale=0.0, n_samples=2**15, seed=4, segment_length=1024)
+    est = welch_csd(synthesize_pair(cfg), 1024)
+    edited = getattr(est, column).copy()
+    edited[bins] = value
+    return dataclasses.replace(est, **{column: edited})
+
+
+@pytest.mark.parametrize("column,value,bins,match", [
+    ("psd1", -1e-36, 10, "negative or NaN PSD"),
+    ("psd2", np.nan, 10, "negative or NaN PSD"),
+    ("csd", np.inf, 10, "is no z-score"),
+    ("psd1", 0.0, slice(None), "is no z-score"),  # a cross spectrum without power
+])
+def test_null_significance_refuses_inconsistent_inputs(column, value, bins, match):
+    # These used to give sigma 0.0 or an infinite sigma.
+    with pytest.raises(DomainError, match=match):
+        null_significance(edited_estimate(column, value, bins), (0.0, 1e6))
 
 
 def test_null_zscores_standard_normal(model40):
