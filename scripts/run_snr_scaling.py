@@ -39,9 +39,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     seg = args.segment_length
     step = seg // 2
-    max_k = max(args.n_avgs)
-    n_needed = seg + (max_k - 1) * step
-    n_samples = 1 << int(np.ceil(np.log2(n_needed)))
+    n_samples = seg + (max(args.n_avgs) - 1) * step
 
     cfg0 = ExperimentConfig(
         shot_asd=args.shot_asd, n_samples=n_samples, segment_length=seg

@@ -11,9 +11,13 @@ configuration produce byte-identical files.  CSVs are streamed in blocks of
 ``CHUNK_ROWS`` rows and hashed as they are written; reading cuts the data
 into byte ranges of about ``RANGE_BYTES`` at line boundaries.  Blocks and
 ranges are formatted or parsed across the CPUs the process may use, and
-the bytes do not depend on how many there are.  ``simulate`` drops a
-manifest recording the config, constants, PRNG identity, and SHA-256 of
-every output.  The default output directory can be overridden with the
+the bytes do not depend on how many there are.  ``simulate`` takes the
+pair from synthesis to Welch block by block, and with ``--dump-timeseries``
+writes each block's rows as it goes, so its memory does not grow with
+n_samples.  It drops a manifest recording the config, constants, package
+and numpy versions, PRNG identity, and SHA-256 of every output; ``detect``
+refuses a spectra file whose digest differs from the one a manifest beside
+it records.  The default output directory can be overridden with the
 ``HOLONOISE_OUTPUT_DIR`` environment variable (an explicit ``--output-dir``
 still wins).
 """
@@ -21,6 +25,7 @@ still wins).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -35,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._workers import pmap
+from ._workers import ProcessMap, pmap
 from .constants import CONSTANTS
 from .detection import null_significance, predicted_snr
 from .errors import DomainError
@@ -47,13 +52,13 @@ from .model import (
     transverse_uncertainty,
 )
 from .slits import SlitSetup, fraunhofer_pattern, information_blurred_pattern, separation_sweep
-from .spectral import SpectralEstimate, coherence_of, segment_count, welch_csd
-from .synthesis import ExperimentConfig, TimeSeriesPair, synthesize_pair
+from .spectral import SpectralEstimate, coherence_of, segment_count, welch_blocks, welch_csd
+from .synthesis import ExperimentConfig, TimeSeriesPair, synthesize_blocks
 
 PRNG_IDENTIFIER = (
     "philox4x64 counter-based; substreams via "
     "SeedSequence(seed, spawn_key=(stream_id,)); "
-    "common=0 (Brownian-difference moving sum) shot1=1 shot2=2"
+    "common pieces=0, increments=3 (Brownian-difference moving sum) shot1=1 shot2=2"
 )
 
 ENV_OUTPUT_DIR = "HOLONOISE_OUTPUT_DIR"
@@ -112,48 +117,80 @@ def _format_block(task: tuple[str, np.ndarray]) -> bytes:
     return (row_template * len(block) % tuple(block.ravel().tolist())).encode()
 
 
-def _row_blocks(rows: np.ndarray, prefix: str = "") -> Iterator[bytes]:
-    """CSV lines of a 2-D float array, each value at 17 digits, CHUNK_ROWS rows per block."""
-    row_template = prefix + ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    return pmap(
-        _format_block,
-        [(row_template, rows[i:i + CHUNK_ROWS]) for i in range(0, len(rows), CHUNK_ROWS)],
-    )
-
-
-def _csv_blocks(meta: dict, columns: list[str], rows: np.ndarray) -> Iterator[bytes]:
-    """A CSV file as bytes blocks: the ``#`` header, then the rows."""
+def _csv_header(meta: dict, columns: list[str]) -> bytes:
+    """The ``#`` header lines of a CSV file."""
     lines = [f"# holonoise v{__version__}"]
     for key, val in meta.items():
         if isinstance(val, float):
             val = _fmt(val)
         lines.append(f"# {key} = {val}")
     lines.append("# columns: " + ",".join(columns))
-    yield ("\n".join(lines) + "\n").encode()
-    yield from _row_blocks(rows)
+    return ("\n".join(lines) + "\n").encode()
 
 
-def _write_blocks(path: Path | None, blocks: Iterable[bytes]) -> str:
-    """Write ``blocks`` to ``path`` (stdout when None); the SHA-256 of what was written."""
-    digest = hashlib.sha256()
-    if path is None:
-        for block in blocks:
-            sys.stdout.write(block.decode())
-            digest.update(block)
-    else:
-        with path.open("wb") as handle:
-            for block in blocks:
-                handle.write(block)
-                digest.update(block)
-    return digest.hexdigest()
+class _Output:
+    """An output file, or stdout when ``path`` is None, hashed as it is written.
+
+    CSV rows are formatted CHUNK_ROWS at a time, on forked workers when
+    ``rows``, the number of rows that will be written, fills more than one
+    block (see `ProcessMap`).  The workers are forked on entering the
+    ``with`` block, before the caller starts any thread.
+    """
+
+    def __init__(self, path: Path | None, rows: int = 0):
+        self.path = path
+        self.sha256 = hashlib.sha256()
+        self.formatter = ProcessMap(_format_block, -(-rows // CHUNK_ROWS))
+
+    def __enter__(self) -> "_Output":
+        self.formatter.__enter__()
+        try:
+            self.handle = None if self.path is None else self.path.open("wb")
+        except BaseException:
+            self.formatter.__exit__(None, None, None)
+            raise
+        return self
+
+    def __exit__(self, kind, *exc) -> None:
+        try:
+            if kind is None:
+                for data in self.formatter.drain():
+                    self.write(data)
+        finally:
+            self.formatter.__exit__(kind, *exc)
+            if self.handle is not None:
+                self.handle.close()
+
+    def write(self, data: bytes) -> None:
+        if self.handle is None:
+            sys.stdout.write(data.decode())
+        else:
+            self.handle.write(data)
+        self.sha256.update(data)
+
+    def rows(self, rows: np.ndarray, prefix: str = "") -> None:
+        """CSV lines of a 2-D float array, each value at 17 digits."""
+        row_template = prefix + ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for i in range(0, len(rows), CHUNK_ROWS):
+            for data in self.formatter.put((row_template, rows[i : i + CHUNK_ROWS])):
+                self.write(data)
+
+    def hexdigest(self) -> str:
+        return self.sha256.hexdigest()
 
 
 def _write_text(path: Path | None, text: str) -> str:
-    return _write_blocks(path, [text.encode()])
+    """Write ``text`` to ``path`` (stdout when None); the SHA-256 of what was written."""
+    with _Output(path) as out:
+        out.write(text.encode())
+    return out.hexdigest()
 
 
 def _write_csv(path: Path | None, meta: dict, columns: list[str], rows: np.ndarray) -> str:
-    return _write_blocks(path, _csv_blocks(meta, columns, rows))
+    with _Output(path, len(rows)) as out:
+        out.write(_csv_header(meta, columns))
+        out.rows(rows)
+    return out.hexdigest()
 
 
 def _parse_range(task: tuple[int, int, int]) -> np.ndarray:
@@ -251,6 +288,7 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: dict[str, s
         "config": config,
         "constants": CONSTANTS.as_dict(),
         "version": __version__,
+        "numpy_version": np.__version__,
         "prng": PRNG_IDENTIFIER,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
@@ -366,14 +404,10 @@ def cmd_predict(args) -> int:
         "# psd convention: one-sided, integrates to sigma2_m2",
         "# columns: quantity,x,value",
     ]
-    _write_blocks(
-        Path(args.output) if args.output else None,
-        [
-            ("\n".join(lines) + "\n").encode(),
-            *_row_blocks(np.column_stack([lags, acf]), "acf,"),
-            *_row_blocks(np.column_stack([freqs, psd]), "psd,"),
-        ],
-    )
+    with _Output(Path(args.output) if args.output else None, len(lags) + len(freqs)) as out:
+        out.write(("\n".join(lines) + "\n").encode())
+        out.rows(np.column_stack([lags, acf]), "acf,")
+        out.rows(np.column_stack([freqs, psd]), "psd,")
     return 0
 
 
@@ -444,24 +478,50 @@ def cmd_slits(args) -> int:
     return 0
 
 
-def _write_timeseries(path: Path, pair: TimeSeriesPair, config: ExperimentConfig) -> str:
-    times = np.arange(pair.n_samples) / pair.sample_rate
-    rows = np.column_stack([times, pair.ch1, pair.ch2, pair.common])
-    meta = {
-        "sample_rate_hz": pair.sample_rate,
-        "segment_length": config.segment_length,
-        "overlap": config.overlap,
-    }
-    return _write_csv(path, meta, ["time_s", "ch1_m", "ch2_m", "common_m"], rows)
+TIMESERIES_COLUMNS = ["time_s", "ch1_m", "ch2_m", "common_m"]
+
+
+def _dumped(blocks: Iterable[TimeSeriesPair], out: _Output) -> Iterator[TimeSeriesPair]:
+    """``blocks`` passed on as they come, each also written to ``out`` as time-series rows."""
+    start = 0
+    for block in blocks:
+        # Stacked CHUNK_ROWS rows at a time, so a row block waiting for a
+        # CSV worker holds only its own rows.
+        for i in range(0, block.n_samples, CHUNK_ROWS):
+            part = slice(i, i + CHUNK_ROWS)
+            times = np.arange(start + i, start + min(i + CHUNK_ROWS, block.n_samples))
+            columns = [block.ch1[part], block.ch2[part], block.common[part]]
+            out.rows(np.column_stack([times / block.sample_rate, *columns]))
+        start += block.n_samples
+        yield block
 
 
 def cmd_simulate(args) -> int:
     config = load_config(Path(args.config))
     outdir = _resolve_outdir(args.output_dir)
-    pair = synthesize_pair(config)
-    estimate = welch_csd(pair, config.segment_length, config.overlap)
     model = config.model()
     band = _parse_band(args.band) if args.band else (0.0, 1.0 / model.tau_c)
+    outputs = {}
+    # Checked before any file is opened; no block is drawn yet.
+    blocks = synthesize_blocks(config)
+    dump = _Output(outdir / "timeseries.csv", config.n_samples) if args.dump_timeseries else None
+    # Entered before the first block is drawn, so the CSV workers are forked
+    # while no synthesis or Welch thread is alive.
+    with dump or contextlib.nullcontext():
+        if dump is not None:
+            meta = {
+                "sample_rate_hz": config.sample_rate,
+                "segment_length": config.segment_length,
+                "overlap": config.overlap,
+            }
+            dump.write(_csv_header(meta, TIMESERIES_COLUMNS))
+            blocks = _dumped(blocks, dump)
+        estimate = welch_blocks(
+            ((block.ch1, block.ch2) for block in blocks),
+            config.sample_rate, config.segment_length, config.overlap,
+        )
+    if dump is not None:
+        outputs["timeseries.csv"] = dump.hexdigest()
     prediction = predicted_snr(
         model,
         config.shot_asd,
@@ -472,15 +532,10 @@ def cmd_simulate(args) -> int:
         config.holo_scale,
     )
     report = null_significance(estimate, band, predicted=prediction)
-
-    outputs = {
-        "spectra.csv": _write_spectra(outdir / "spectra.csv", estimate, pair.n_samples),
-        "report.json": _write_text(
-            outdir / "report.json", json.dumps(_report_dict(report), indent=2) + "\n"
-        ),
-    }
-    if args.dump_timeseries:
-        outputs["timeseries.csv"] = _write_timeseries(outdir / "timeseries.csv", pair, config)
+    outputs["spectra.csv"] = _write_spectra(outdir / "spectra.csv", estimate, config.n_samples)
+    outputs["report.json"] = _write_text(
+        outdir / "report.json", json.dumps(_report_dict(report), indent=2) + "\n"
+    )
     _write_manifest(outdir / "manifest.json", "simulate", config.as_dict(), outputs)
 
     print(f"wrote {', '.join(sorted(outputs))} to {outdir}")
@@ -524,13 +579,37 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _vouched(path: Path) -> tuple[str, bool]:
+    """The SHA-256 of ``path``, and whether a ``manifest.json`` beside it lists it.
+
+    A listed file must have the digest the manifest records: that refuses a
+    file edited after it was written, though not one whose manifest was
+    edited with it.
+    """
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path = path.parent / "manifest.json"
+    if not manifest_path.is_file():
+        return digest, False
+    try:
+        outputs = json.loads(manifest_path.read_text()).get("outputs")
+    except (json.JSONDecodeError, UnicodeDecodeError, AttributeError) as exc:
+        raise DomainError(f"{manifest_path} is not a readable manifest") from exc
+    if not isinstance(outputs, dict) or path.name not in outputs:
+        return digest, False
+    if outputs[path.name] != digest:
+        raise DomainError(
+            f"{path} does not match the SHA-256 that {manifest_path} records for it"
+        )
+    return digest, True
+
+
 def cmd_detect(args) -> int:
-    estimate = _estimate_from_csv(Path(args.estimate))
+    path = Path(args.estimate)
+    estimate = _estimate_from_csv(path)
     report = null_significance(estimate, _parse_band(args.band))
-    _write_text(
-        Path(args.output) if args.output else None,
-        json.dumps(_report_dict(report), indent=2) + "\n",
-    )
+    digest, vouched = _vouched(path)
+    values = dict(_report_dict(report), input_sha256=digest, manifest_vouched=vouched)
+    _write_text(Path(args.output) if args.output else None, json.dumps(values, indent=2) + "\n")
     return 0
 
 

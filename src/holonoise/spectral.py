@@ -4,10 +4,15 @@ One numpy pass yields the auto- and cross-spectra of a pair: the series is
 cut into strided segment views, whose means are removed, which are windowed
 and go through one ``rfft`` per channel, about ``FFT_BATCH_SAMPLES``
 samples per call, and whose ``|X1|^2``, ``|X2|^2`` and ``conj(X1) X2`` are
-summed over chunks of ``SEGMENT_CHUNK`` segments.  The chunk sums are added
-in chunk order, so the bits depend on neither the batch size nor the number
-of worker threads the chunks are shared among (see `_workers.tmap`).  The
-sums carry scipy.signal's one-sided density scaling (Welch 1967;
+summed over chunks of ``SEGMENT_CHUNK`` segments.  The pass consumes the
+series as consecutive blocks (`welch_blocks`): segments are counted from
+the first sample, the samples of the segment a block cuts are carried into
+the next, and each chunk sum joins the running total in chunk order as the
+chunk completes, so memory is fixed by the block, not the series, and the
+bits depend on neither the cut into blocks, the batch size nor the number
+of worker threads a block's chunks are shared among (see
+`_workers.ThreadMap`).  `welch_psd` and `welch_csd` are the one-block case.
+The sums carry scipy.signal's one-sided density scaling (Welch 1967;
 Heinzel, Ruediger & Schilling 2002): a flat input returns its ASD^2 level,
 and DC and Nyquist are not doubled.  Hann window and 50% overlap are the
 defaults, and the explicit segment count ``n_avg`` tells downstream
@@ -20,12 +25,13 @@ is numpy.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._workers import thread_count, tmap
+from ._workers import ThreadMap, thread_count
 from .errors import DomainError
 from .synthesis import TimeSeriesPair
 
@@ -131,27 +137,32 @@ def _work_arrays(channels: int, length: int):
     )
 
 
-def _chunk_sums(segments, win, detrend, first, stop, work, power, cross):
-    """Fill row i of ``power[c]`` with chunk i's sum of |X_c|^2 and, for a
-    pair, row i of ``cross`` with its sum of conj(X1) X2, for the chunks
-    of segments ``first`` to ``stop``.
+def _chunk_sums(segments, base, win, detrend, first, stop, work, power, cross):
+    """Sum the segments ``first`` to ``stop`` into their chunks' rows: row
+    i - base // SEGMENT_CHUNK of ``power[c]`` gets chunk i's sum of |X_c|^2
+    and, for a pair, the same row of ``cross`` its sum of conj(X1) X2.
 
-    Segments go through the FFT a batch at a time, whatever chunks they
-    belong to, and every step writes into the ``work`` arrays, so a worker
-    needs a fixed few times ``FFT_BATCH_SAMPLES`` floats.
+    Segment indices count from the start of the series, and ``segments``
+    holds segment ``base`` onwards.  A chunk that began before ``first``
+    adds onto the sum its row already holds.  Segments go through the FFT
+    a batch at a time, whatever chunks they belong to, and every step
+    writes into the ``work`` arrays, so a worker needs a fixed few times
+    ``FFT_BATCH_SAMPLES`` floats.
     """
     scratch, spectra, terms = work
     length = len(win)
     n_freq = length // 2 + 1
+    row0 = base // SEGMENT_CHUNK
     for lo in range(first, stop, len(terms) - 1):
         k = min(len(terms) - 1, stop - lo)
         # Batch rows a to b - 1 are chunk i's segments lo + a to lo + b - 1.
         pieces = [
-            (i, max(lo, i * SEGMENT_CHUNK) - lo, min(lo + k, (i + 1) * SEGMENT_CHUNK) - lo)
+            (i - row0, max(lo, i * SEGMENT_CHUNK) - lo,
+             min(lo + k, (i + 1) * SEGMENT_CHUNK) - lo)
             for i in range(lo // SEGMENT_CHUNK, -(-(lo + k) // SEGMENT_CHUNK))
         ]
         for seg, spectrum, total in zip(segments, spectra, power):
-            chunk = seg[lo : lo + k]
+            chunk = seg[lo - base : lo - base + k]
             x = scratch[: k * length].reshape(k, length)
             if detrend:
                 np.subtract(chunk, chunk.mean(axis=-1, keepdims=True), out=x)
@@ -171,13 +182,38 @@ def _chunk_sums(segments, win, detrend, first, stop, work, power, cross):
                 _sum_rows(prod, a, b, (lo + a) % SEGMENT_CHUNK > 0, cross[i])
 
 
-def _welch(channels, sample_rate, segment_length, overlap, window, detrend):
-    """One-pass Welch spectra of one channel or a pair, as a SpectralEstimate.
+def welch_blocks(
+    blocks: Iterable,
+    sample_rate: float,
+    segment_length: int,
+    overlap: float = 0.5,
+    window: str = "hann",
+    detrend="constant",
+) -> SpectralEstimate:
+    """One-pass Welch spectra of one channel or a pair, from consecutive blocks.
 
-    A single channel is the degenerate pair: psd2 = psd1, csd real and
-    coherence identically 1.  Each worker thread (see `_workers.tmap`) sums
-    one contiguous group of chunks, and the chunk sums are added in chunk
-    order, so the result is the same bits on any CPU count.
+    Parameters
+    ----------
+    blocks : iterable of sequences of arrays
+        Consecutive pieces of the series, each a sequence of one channel
+        array or of two of equal length; together they are the whole
+        series, and any piece may be any length.
+    sample_rate, segment_length, overlap, window, detrend
+        As for `welch_psd`.
+
+    Returns
+    -------
+    SpectralEstimate
+        The bits `welch_psd` or `welch_csd` give on the blocks put end to
+        end.  A single channel is the degenerate pair: psd2 = psd1, csd real
+        and coherence identically 1.
+
+    Segments are counted from the first sample, and the samples of a
+    segment not yet whole, fewer than ``segment_length``, are carried into
+    the next block.  Each worker thread (see `_workers.ThreadMap`) sums one
+    contiguous group of a block's chunks, and every chunk sum joins the
+    running total in chunk order as the chunk completes, so the result is
+    the same bits on any CPU count and for any cut into blocks.
     """
     if not (detrend is False or detrend == "constant"):
         raise DomainError(f"detrend must be 'constant' or False, got {detrend!r}")
@@ -187,46 +223,92 @@ def _welch(channels, sample_rate, segment_length, overlap, window, detrend):
         raise DomainError(
             f"segment_length must be a power of two >= 64, got {segment_length!r}"
         )
-    n = len(channels[0])
-    if n < segment_length:
-        raise DomainError(
-            f"series of length {n} is shorter than one segment ({segment_length})"
-        )
     step = segment_step(segment_length, overlap)
-    n_avg = segment_count(n, segment_length, overlap)
     win = window_sequence(window, segment_length)
     n_freq = segment_length // 2 + 1
 
-    segments = [
-        sliding_window_view(np.ascontiguousarray(ch, dtype=float), segment_length)[::step][:n_avg]
-        for ch in channels
-    ]
-    n_chunks = -(-n_avg // SEGMENT_CHUNK)
-    power = np.empty((len(channels), n_chunks, n_freq))
-    cross = np.empty((n_chunks, n_freq), dtype=complex)
-    work = len(channels) * n_avg * segment_length
-    # Every array a worker writes is allocated here: memory that a worker
-    # thread allocates stays in that thread's malloc arena after it ends.
-    tasks = [
-        (chunks[0] * SEGMENT_CHUNK, min((chunks[-1] + 1) * SEGMENT_CHUNK, n_avg),
-         _work_arrays(len(channels), segment_length))
-        for chunks in np.array_split(np.arange(n_chunks), thread_count(n_chunks, work))
-    ]
-    tmap(lambda task: _chunk_sums(segments, win, detrend, *task, power, cross), tasks, work)
-    psds = [np.zeros(n_freq) for _ in channels]
-    csd = np.zeros(n_freq, dtype=complex)
-    for i in range(n_chunks):
-        for acc, sums in zip(psds, power):
-            acc += sums[i]
-        if len(channels) == 2:
-            csd += cross[i]
+    n = done = 0  # samples seen, and segments summed, so far
+    carry = totals = open_chunk = None
+    work: list = []
+    with ThreadMap() as threads:
+
+        def accumulate(segments, first, stop):
+            """Sum segments ``first`` to ``stop``, which ``segments`` holds from
+            ``first`` on, and add the chunks they complete to the totals."""
+            nonlocal open_chunk, csd
+            row0, rows = first // SEGMENT_CHUNK, -(-stop // SEGMENT_CHUNK)
+            power = np.empty((len(segments), rows - row0, n_freq))
+            cross = np.empty((rows - row0, n_freq), dtype=complex)
+            if open_chunk is not None:
+                power[:, 0], cross[0] = open_chunk
+            load = len(segments) * (stop - first) * segment_length
+            groups = np.array_split(np.arange(row0, rows), thread_count(rows - row0, load))
+            # Every array a worker writes is allocated here: memory that a worker
+            # thread allocates stays in that thread's malloc arena after it ends.
+            work.extend(_work_arrays(len(segments), segment_length)
+                        for _ in range(len(groups) - len(work)))
+            tasks = [
+                (max(first, g[0] * SEGMENT_CHUNK), min(stop, (g[-1] + 1) * SEGMENT_CHUNK), w)
+                for g, w in zip(groups, work)
+            ]
+            threads.map(
+                lambda task: _chunk_sums(segments, first, win, detrend, *task, power, cross),
+                tasks, load,
+            )
+            complete = stop // SEGMENT_CHUNK - row0
+            for i in range(complete):
+                for acc, sums in zip(totals, power):
+                    acc += sums[i]
+                if len(totals) == 2:
+                    csd += cross[i]
+            open_chunk = (power[:, complete], cross[complete]) if stop % SEGMENT_CHUNK else None
+
+        def windows(series, count):
+            return [sliding_window_view(ch, segment_length)[::step][:count] for ch in series]
+
+        for block in blocks:
+            channels = [np.ascontiguousarray(ch, dtype=float) for ch in block]
+            n += len(channels[0])
+            if carry is None:
+                totals = [np.zeros(n_freq) for _ in channels]
+                csd = np.zeros(n_freq, dtype=complex)
+                carry = [ch[:0] for ch in channels]
+            # Segment ``done`` starts at carry[0].  The ``head`` segments that
+            # start in the carry are cut from it joined to the block's first
+            # samples; the rest are cut from the block itself.
+            c = len(carry[0])
+            whole = max(0, (c + len(channels[0]) - segment_length) // step + 1)
+            head = min(whole, -(-c // step))
+            if head:
+                joined = [np.concatenate((old, ch[: (head - 1) * step + segment_length - c]))
+                          for old, ch in zip(carry, channels)]
+                accumulate(windows(joined, head), done, done + head)
+            if whole > head:
+                body = [ch[head * step - c :] for ch in channels]
+                accumulate(windows(body, whole - head), done + head, done + whole)
+            start = whole * step - c  # of segment done + whole, in the block
+            if start >= 0:
+                carry = [ch[start:].copy() for ch in channels]
+            else:
+                carry = [np.concatenate((old[whole * step :], ch))
+                         for old, ch in zip(carry, channels)]
+            done += whole
+    if not done:
+        raise DomainError(
+            f"series of length {n} is shorter than one segment ({segment_length})"
+        )
+    if open_chunk is not None:
+        for acc, sums in zip(totals, open_chunk[0]):
+            acc += sums
+        if len(totals) == 2:
+            csd += open_chunk[1]
 
     # One-sided density: every bin but DC and Nyquist carries both signs.
-    scale = np.full(n_freq, 2.0 / (sample_rate * float(np.dot(win, win)) * n_avg))
+    scale = np.full(n_freq, 2.0 / (sample_rate * float(np.dot(win, win)) * done))
     scale[0] /= 2.0
     scale[-1] /= 2.0
-    psds = [acc * scale for acc in psds]
-    if len(channels) == 1:
+    psds = [acc * scale for acc in totals]
+    if len(psds) == 1:
         (psd1,) = psds
         psd2, csd, coherence = psd1.copy(), psd1.astype(complex), np.ones(n_freq)
     else:
@@ -238,7 +320,7 @@ def _welch(channels, sample_rate, segment_length, overlap, window, detrend):
         psd2=psd2,
         csd=csd,
         coherence=coherence,
-        n_avg=n_avg,
+        n_avg=done,
         segment_length=segment_length,
         overlap=overlap,
         window=window,
@@ -276,7 +358,7 @@ def welch_psd(
     SpectralEstimate
         With psd1 = psd2 = the PSD, csd real, coherence identically 1.
     """
-    return _welch([series], sample_rate, segment_length, overlap, window, detrend)
+    return welch_blocks([(series,)], sample_rate, segment_length, overlap, window, detrend)
 
 
 def welch_csd(
@@ -293,8 +375,8 @@ def welch_csd(
     averaged spectra and clipped to [0, 1]; bins with zero PSD product get
     coherence 0.
     """
-    return _welch(
-        [pair.ch1, pair.ch2], pair.sample_rate, segment_length, overlap, window, detrend
+    return welch_blocks(
+        [(pair.ch1, pair.ch2)], pair.sample_rate, segment_length, overlap, window, detrend
     )
 
 

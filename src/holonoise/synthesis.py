@@ -15,37 +15,52 @@ splitting every unit interval at r gives a grid on which each window is a
 whole number of pieces, q + 1 of length r and q of length 1 - r.  One
 cumulative sum and one difference produce every sample in O(n) time, and
 the covariance is the sampled triangle by construction: no embedding,
-eigenvalue check or FFT is involved.  The sum is streamed over blocks of
-``SUM_BLOCK`` draws, so beyond the series itself it holds O(SUM_BLOCK + q)
-memory, with the bits of a single pass.
+eigenvalue check or FFT is involved.
+
+The pair is made in blocks of ``BLOCK_SAMPLES`` samples (`synthesize_blocks`),
+so a consumer that takes it block by block, such as the Welch pass of
+``holonoise simulate``, holds memory fixed by the block, not by n.  The
+cumulative sum and a q-draw look-ahead are carried from block to block, and
+a Philox stream drawn a block at a time gives the bits of one draw, so
+`synthesize_pair` and `synthesize_common`, the blocks put end to end, do not
+depend on the block size.
 
 All randomness is drawn from counter-based Philox generators keyed by
-``SeedSequence(seed, spawn_key=(stream_id,))``, so the common and the two
-shot streams are mutually independent and each is reproducible bit for bit
-from ``(seed, stream_id)`` alone.  `synthesize_pair` therefore draws the
-three streams concurrently, on as many of them as the CPUs the process may
-use allow (see `_workers.tmap`), without changing a bit.
+``SeedSequence(seed, spawn_key=(stream_id,))``: the common component's
+r-pieces (stream 0) and unit-interval rests (stream 3), and the two shot
+floors (streams 1 and 2) are mutually independent and each is reproducible
+bit for bit from ``(seed, stream_id)`` alone.  Each block's common
+component and two shot floors are therefore made concurrently, on as many
+of them as the CPUs the process may use allow (see `_workers.ThreadMap`),
+without changing a bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._workers import tmap
+from ._workers import ThreadMap
 from .constants import CONSTANTS
 from .errors import DomainError
 from .model import HolographicModel
 
-#: Stream identifiers for the per-run Philox substreams.
+#: Stream identifiers for the per-run Philox substreams: the common
+#: component's r-long pieces, the two shot-noise floors, and the rest of the
+#: common component's unit intervals.
 STREAM_COMMON = 0
 STREAM_SHOT1 = 1
 STREAM_SHOT2 = 2
+STREAM_INCREMENTS = 3
 
-#: Unit-interval draws summed per block by `brownian_difference`.
-SUM_BLOCK = 1 << 16
+#: Samples per synthesized block.  At the default 8192-sample segments and
+#: 50% overlap that is two 32-segment Welch chunks, one for each of two
+#: threads; memory held between blocks does not grow with n_samples.
+BLOCK_SAMPLES = 1 << 18
 
 
 def generator(seed: int, stream_id: int) -> np.random.Generator:
@@ -65,7 +80,7 @@ class ExperimentConfig:
     arm_length: float = 40.0      # m
     shot_asd: float = 2e-18       # m / sqrt(Hz), per channel
     sample_rate: float = 5e7      # Hz
-    n_samples: int = 2**22        # power of two
+    n_samples: int = 2**22        # at least 1024
     seed: int = 0                 # 64-bit master seed
     holo_scale: float = 1.0       # common-component power multiplier
     segment_length: int = 8192    # Welch segment, power of two
@@ -78,10 +93,8 @@ class ExperimentConfig:
             raise DomainError(f"shot_asd must be >= 0, got {self.shot_asd!r}")
         if not math.isfinite(self.sample_rate) or self.sample_rate <= 0.0:
             raise DomainError(f"sample_rate must be positive, got {self.sample_rate!r}")
-        if not isinstance(self.n_samples, int) or not _is_pow2(self.n_samples) or self.n_samples < 1024:
-            raise DomainError(
-                f"n_samples must be a power of two >= 1024, got {self.n_samples!r}"
-            )
+        if not isinstance(self.n_samples, int) or self.n_samples < 1024:
+            raise DomainError(f"n_samples must be an integer >= 1024, got {self.n_samples!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not math.isfinite(self.holo_scale) or self.holo_scale < 0.0:
@@ -166,52 +179,6 @@ def window_split(model: HolographicModel, sample_rate: float) -> tuple[int, floa
     return q, s - q
 
 
-def brownian_difference(
-    pieces: np.ndarray, increments, model: HolographicModel, sample_rate: float
-) -> np.ndarray:
-    """Linear map from standard-normal draws to the triangular-ACF series.
-
-    ``pieces`` holds the n + q draws (q from `window_split`) that feed the
-    r-long Brownian pieces; it is overwritten and its first n entries are
-    returned as the series.  ``increments(out)`` fills ``out`` with the next
-    draws for the (1 - r)-long pieces, n + q in all, which are taken and
-    summed ``SUM_BLOCK`` at a time, so only the returned series is held
-    whole.  Sample k is the Brownian increment over [k - r, k + q]: the
-    r-piece ending at k plus the q unit intervals after it, scaled so the
-    variance is sigma2.  Every cumulative sum and difference is the one a
-    single pass over all the draws would make, so the bits do not depend on
-    the block size.
-    """
-    q, r = window_split(model, sample_rate)
-    n = len(pieces) - q
-    unit = model.sigma2 / (q + r)
-    pieces *= math.sqrt(r * unit)
-    scale = math.sqrt((1.0 - r) * unit)
-    block = max(SUM_BLOCK, q)
-    # cum[i] is the running sum U[j - q + i] of the whole unit intervals,
-    # U[j] = U[j - 1] + (the interval [j - 1, j]), for the block at j.
-    cum = np.empty(q + block)
-    diff = np.empty(block)
-    carry = 0.0
-    for j in range(0, n + q, block):
-        m = min(block, n + q - j)
-        u = cum[q : q + m]
-        increments(u)
-        u *= scale
-        u += pieces[j : j + m]
-        if j:
-            u[0] += carry
-        np.cumsum(u, out=u)
-        carry = u[-1]
-        # x[k] = (U[k + q] - U[k]) + pieces[k] for every k whose U[k + q] is
-        # here, written over pieces[k], which later blocks no longer need.
-        k0, k1 = max(j - q, 0), j + m - q
-        now, before = cum[k0 - j + 2 * q : k1 - j + 2 * q], cum[k0 - j + q : k1 - j + q]
-        pieces[k0:k1] += np.subtract(now, before, out=diff[: k1 - k0])
-        cum[:q] = cum[m : m + q]
-    return pieces[:n]
-
-
 def _check_common(model: HolographicModel, sample_rate: float, n: int) -> None:
     if sample_rate * model.tau_c < 4.0:
         raise DomainError(
@@ -226,12 +193,53 @@ def _check_common(model: HolographicModel, sample_rate: float, n: int) -> None:
         )
 
 
-def _common(model: HolographicModel, sample_rate: float, n: int, seed: int) -> np.ndarray:
-    q, _ = window_split(model, sample_rate)
-    gen = generator(seed, STREAM_COMMON)
-    pieces = gen.standard_normal(n + q)
-    return brownian_difference(pieces, lambda out: gen.standard_normal(out=out), model,
-                               sample_rate)
+class _MovingSum:
+    """The triangular-autocovariance series of one seed, a block at a time.
+
+    Sample k is the Brownian increment over [k - r, k + q]: the r-long piece
+    ending at k plus the q unit intervals after it, scaled so the variance
+    is sigma2.  The r-long pieces are drawn from stream ``STREAM_COMMON``
+    and the (1 - r)-long rest of each unit interval from
+    ``STREAM_INCREMENTS``, n + q draws of each.  Between blocks it keeps the
+    look-ahead the next block's differences need: the last q draws of the
+    pieces and the cumulative sums up to them.  Every cumulative sum and
+    difference is the one a single pass over all the draws would make, so
+    the bits do not depend on the block size.
+    """
+
+    def __init__(self, model: HolographicModel, sample_rate: float, seed: int, block: int):
+        q, r = window_split(model, sample_rate)
+        unit = model.sigma2 / (q + r)
+        self.q = q
+        self.scales = (math.sqrt(r * unit), math.sqrt((1.0 - r) * unit))
+        self.streams = (generator(seed, STREAM_COMMON), generator(seed, STREAM_INCREMENTS))
+        # For the block starting at sample j, pieces[i] is the scaled r-piece
+        # of draw j + i and cum[i] the running sum U[j + i] of every piece and
+        # unit-interval rest up to that draw; the first q are the look-ahead.
+        self.pieces, self.cum = np.empty(q + block), np.empty(q + block)
+        self._draw(0, q)
+
+    def _draw(self, lo: int, hi: int) -> None:
+        """Draw pieces[lo:hi] and cum[lo:hi], and carry the running sum through them."""
+        b, u = self.pieces[lo:hi], self.cum[lo:hi]
+        self.streams[0].standard_normal(out=b)
+        self.streams[1].standard_normal(out=u)
+        b *= self.scales[0]
+        u *= self.scales[1]
+        u += b
+        if lo:
+            u[0] += self.cum[lo - 1]
+        np.cumsum(u, out=u)
+
+    def next(self, out: np.ndarray, amplitude: float = 1.0) -> None:
+        """Write the next ``len(out)`` samples, times ``amplitude``, into ``out``."""
+        q, m = self.q, len(out)
+        self._draw(q, q + m)
+        np.subtract(self.cum[q : q + m], self.cum[:m], out=out)
+        out += self.pieces[:m]
+        out *= amplitude
+        self.pieces[:q] = self.pieces[m : m + q]
+        self.cum[:q] = self.cum[m : m + q]
 
 
 def synthesize_common(
@@ -248,25 +256,22 @@ def synthesize_common(
     n : int
         Number of samples; must be at least twice the correlation support.
     seed : int
-        Master seed; the common stream id is fixed to STREAM_COMMON.
+        Master seed; the draws come from streams STREAM_COMMON and
+        STREAM_INCREMENTS.
 
     Returns
     -------
     numpy.ndarray
         Zero-mean Gaussian series whose autocovariance equals the sampled
-        triangle exactly (the moving sum is not an approximation).  The
-        stream's first n + q draws feed the r-long pieces and the next
-        n + q the unit-interval remainders.
+        triangle exactly (the moving sum is not an approximation).  It is
+        the ``common`` of `synthesize_pair` at holo_scale = 1.
     """
     _check_common(model, sample_rate, n)
-    return _common(model, sample_rate, n, seed)
-
-
-def _white(asd: float, sample_rate: float, n: int, seed: int, stream_id: int) -> np.ndarray:
-    if asd == 0.0:
-        return np.zeros(n)
-    x = generator(seed, stream_id).standard_normal(n)
-    x *= asd * math.sqrt(sample_rate / 2.0)
+    block = min(n, BLOCK_SAMPLES)
+    moving = _MovingSum(model, sample_rate, seed, block)
+    x = np.empty(n)
+    for j in range(0, n, block):
+        moving.next(x[j : j + block])
     return x
 
 
@@ -278,7 +283,86 @@ def white_noise(
         raise DomainError(f"asd must be >= 0, got {asd!r}")
     if n < 1:
         raise DomainError(f"n must be positive, got {n!r}")
-    return _white(asd, sample_rate, n, seed, stream_id)
+    if asd == 0.0:
+        return np.zeros(n)
+    x = generator(seed, stream_id).standard_normal(n)
+    x *= asd * math.sqrt(sample_rate / 2.0)
+    return x
+
+
+def _shot(stream: np.random.Generator, out: np.ndarray, scale: float) -> None:
+    stream.standard_normal(out=out)
+    out *= scale
+
+
+def _call(draw) -> None:
+    draw()
+
+
+def synthesize_blocks(config: ExperimentConfig) -> Iterator[TimeSeriesPair]:
+    """The pair of `synthesize_pair` as consecutive blocks of ``BLOCK_SAMPLES``.
+
+    The configuration is checked before this returns.  For each block the
+    common component (its two streams and the moving sum) and the two shot
+    floors are made concurrently on the CPUs the process may use (see
+    `_workers.ThreadMap`, whose threads live until the blocks run out or the
+    iterator is closed), and the next block is drawn while the caller uses
+    this one; the channel sums follow in the calling thread.  Each block is
+    a `TimeSeriesPair`, with its finite check; the last may be shorter.
+    """
+    return (TimeSeriesPair(config.sample_rate, *block) for block in _blocks(config, None))
+
+
+def _blocks(config: ExperimentConfig, out) -> Iterator[list[np.ndarray]]:
+    """The (ch1, ch2, common) blocks of `synthesize_blocks`, written into new
+    arrays or, when ``out`` holds three arrays of n_samples, into views of them."""
+    n, fs, seed = config.n_samples, config.sample_rate, config.seed
+    block = min(n, BLOCK_SAMPLES)
+    moving = None
+    if config.holo_scale > 0.0:
+        model = config.model()
+        _check_common(model, fs, n)
+        moving = _MovingSum(model, fs, seed, block)
+    shots = []
+    if config.shot_asd > 0.0:
+        shots = [generator(seed, STREAM_SHOT1), generator(seed, STREAM_SHOT2)]
+    scale = config.shot_asd * math.sqrt(fs / 2.0)
+    amplitude = math.sqrt(config.holo_scale)
+    streams = len(shots) + (2 if moving is not None else 0)
+
+    def start(threads: ThreadMap, j: int):
+        """Start drawing the block at sample j; a call that waits for its arrays."""
+        m = min(block, n - j)
+        # Arrays are allocated here, not in the threads, whose malloc
+        # arenas would keep the memory.
+        arrays = [np.empty(m) for _ in range(3)] if out is None else [a[j : j + m] for a in out]
+        ch1, ch2, common = arrays
+        draws = [functools.partial(_shot, stream, ch, scale)
+                 for stream, ch in zip(shots, (ch1, ch2))]
+        if moving is None:
+            common.fill(0.0)
+        else:
+            draws.insert(0, functools.partial(moving.next, common, amplitude))
+        wait = threads.start(_call, draws, streams * m)
+        return lambda: (wait(), arrays)[1]
+
+    def generate():
+        with ThreadMap() as threads:
+            pending = start(threads, 0)
+            for j in range(0, n, block):
+                ch1, ch2, common = pending()
+                # The next block is drawn while the caller uses this one.
+                if j + block < n:
+                    pending = start(threads, j + block)
+                for ch in (ch1, ch2):
+                    if shots:
+                        # shot_i + common, which rounds exactly as common + shot_i.
+                        ch += common
+                    else:
+                        ch[:] = common
+                yield ch1, ch2, common
+
+    return generate()
 
 
 def synthesize_pair(config: ExperimentConfig) -> TimeSeriesPair:
@@ -286,30 +370,12 @@ def synthesize_pair(config: ExperimentConfig) -> TimeSeriesPair:
 
     The stored ``common`` array is the injected component as it appears in
     the channels (scaled by sqrt(holo_scale)); with holo_scale = 0 the
-    generation is skipped entirely and ``common`` is all zeros.  The three
-    Philox streams are independent, so they are drawn concurrently on the
-    CPUs the process may use (see `_workers.tmap`); each stream's draws and
-    arithmetic are the same on any CPU count, and so are the bits.
+    generation is skipped entirely and ``common`` is all zeros, and with
+    shot_asd = 0 both channels equal ``common``.  It is the blocks of
+    `synthesize_blocks`, each written in place, so the bits are the same on
+    any CPU count.
     """
-    n, fs, seed = config.n_samples, config.sample_rate, config.seed
-    shots = [
-        lambda: _white(config.shot_asd, fs, n, seed, STREAM_SHOT1),
-        lambda: _white(config.shot_asd, fs, n, seed, STREAM_SHOT2),
-    ]
-    if config.holo_scale > 0.0:
-        model = config.model()
-        _check_common(model, fs, n)
-
-        def injected():
-            common = _common(model, fs, n, seed)
-            common *= math.sqrt(config.holo_scale)
-            return common
-
-        common, ch1, ch2 = tmap(lambda draw: draw(), [injected, *shots], work=3 * n)
-    else:
-        ch1, ch2 = tmap(lambda draw: draw(), shots, work=2 * n)
-        common = np.zeros(n)
-    # ch_i = shot_i + common, which rounds exactly as common + shot_i.
-    ch1 += common
-    ch2 += common
-    return TimeSeriesPair(sample_rate=fs, ch1=ch1, ch2=ch2, common=common)
+    out = [np.empty(config.n_samples) for _ in range(3)]
+    for _ in _blocks(config, out):
+        pass
+    return TimeSeriesPair(config.sample_rate, *out)

@@ -11,6 +11,7 @@ so the whole module stays around ten seconds.
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -27,7 +28,6 @@ from holonoise.cli import (
     ENV_OUTPUT_DIR,
     PRNG_IDENTIFIER,
     RANGE_BYTES,
-    _csv_blocks,
     _read_csv,
     _write_csv,
     load_config,
@@ -118,9 +118,10 @@ def test_predict_rejects_overflowing_arm_length():
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
-def test_csv_rows_match_per_value_formatting():
+def test_csv_rows_match_per_value_formatting(tmp_path):
     rows = np.array([[-0.0, 1e300, 5e-324], [0.1, -2.5e-17, 123456789.125]])
-    text = b"".join(_csv_blocks({"sample_rate_hz": 5e7}, ["a", "b", "c"], rows)).decode()
+    _write_csv(tmp_path / "rows.csv", {"sample_rate_hz": 5e7}, ["a", "b", "c"], rows)
+    text = (tmp_path / "rows.csv").read_text()
     body = [line for line in text.splitlines() if not line.startswith("#")]
     assert body == [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
     assert body[0] == "-0,1.0000000000000001e+300,4.9406564584124654e-324"
@@ -274,8 +275,9 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert manifest["config"] == SMALL_CONFIG
     assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
-    assert "common=0 (Brownian-difference moving sum)" in manifest["prng"]
-    assert manifest["version"] == holonoise.__version__ == "0.5.0"
+    assert "common pieces=0, increments=3 (Brownian-difference moving sum)" in manifest["prng"]
+    assert manifest["version"] == holonoise.__version__ == "0.6.0"
+    assert manifest["numpy_version"] == np.__version__
     import hashlib
 
     for name, digest in manifest["outputs"].items():
@@ -302,6 +304,54 @@ def test_simulate_deterministic_across_runs(tmp_path, config_path):
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["outputs"] == m2["outputs"]
+    assert m1["numpy_version"] == m2["numpy_version"] == np.__version__
+
+
+def test_simulate_spectra_are_welch_of_synthesize_pair(tmp_path, cpus):
+    # Three blocks, the last a partial one, each cutting a segment: the
+    # streamed spectra are the one-shot Welch of the whole pair, and the
+    # dumped series is that pair, on one CPU or two.
+    config = dict(SMALL_CONFIG, n_samples=600_001)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output-dir", str(run),
+                 "--dump-timeseries"]) == 0
+    cfg = ExperimentConfig(**config)
+    pair = holonoise.synthesize_pair(cfg)
+    est = holonoise.welch_csd(pair, cfg.segment_length, cfg.overlap)
+    meta, data = read_csv(run / "spectra.csv")
+    assert int(meta["n_avg"]) == est.n_avg == 1170
+    expected = np.column_stack([est.freqs, est.psd1, est.psd2, est.csd.real, est.csd.imag,
+                                est.coherence])
+    assert data.tobytes() == expected.tobytes()
+    _, series = read_csv(run / "timeseries.csv")
+    assert series[:, 1:].tobytes() == np.column_stack([pair.ch1, pair.ch2, pair.common]).tobytes()
+    assert series[:, 0].tobytes() == (np.arange(cfg.n_samples) / cfg.sample_rate).tobytes()
+
+
+def peak_rss_mb(argv, stderr_path):
+    """Peak resident set of a fresh ``python -m holonoise.cli`` run, from wait4."""
+    with stderr_path.open("wb") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "holonoise.cli", *argv],
+                                stdout=subprocess.DEVNULL, stderr=stderr)
+        _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, stderr_path.read_text()
+    return usage.ru_maxrss / 1024
+
+
+def test_simulate_memory_does_not_grow_with_n(tmp_path):
+    # The pair is synthesized and Welch-averaged block by block, so eight
+    # times the samples (2^20 -> 2^23) may not cost more than 10 MB more;
+    # holding the series whole cost ~176 MB more.
+    peaks = []
+    for n in (2**20, 2**23):
+        config = tmp_path / f"config{n}.json"
+        config.write_text(json.dumps(dict(SMALL_CONFIG, n_samples=n, segment_length=8192)))
+        peaks.append(peak_rss_mb(["simulate", "--config", str(config),
+                                  "--output-dir", str(tmp_path / f"run{n}")],
+                                 tmp_path / "stderr.txt"))
+    assert abs(peaks[1] - peaks[0]) <= 10.0, peaks
 
 
 def test_simulate_env_var_output_dir(tmp_path, config_path, monkeypatch):
@@ -326,6 +376,18 @@ def test_simulate_malformed_json(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_simulate_too_short_for_the_window_writes_nothing(tmp_path, capsys):
+    # At 4 GHz the 40 m window spans 1068 samples, so 1024 samples cannot
+    # hold two of them; the check comes before any output is opened.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIG, n_samples=1024, sample_rate=4e9)))
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output-dir", str(run),
+                 "--dump-timeseries"]) == 1
+    assert "too short" in capsys.readouterr().err
+    assert list(run.iterdir()) == []
 
 
 def test_simulate_unknown_config_field(tmp_path, capsys):
@@ -553,6 +615,54 @@ def test_detect_rejects_inconsistent_columns(tmp_path, config_path, edit, reason
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert reason in proc.stderr
+
+
+def test_detect_refuses_a_file_edited_after_its_manifest(tmp_path, config_path):
+    # Every column check passes on an edited window, which moved sigma; the
+    # manifest beside the file still holds the digest simulate wrote.
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path),
+                 "--output-dir", str(rundir)]) == 0
+    spectra = rundir / "spectra.csv"
+    text = spectra.read_text()
+    assert "# window = hann\n" in text
+    spectra.write_text(text.replace("# window = hann\n", "# window = boxcar\n"))
+    proc = run_python("-m", "holonoise.cli", "detect", "--estimate", str(spectra),
+                      "--band", "0:3.7e6")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "does not match the SHA-256" in proc.stderr
+
+
+def test_detect_reports_what_vouched_for_its_input(tmp_path, config_path):
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path),
+                 "--output-dir", str(rundir)]) == 0
+    spectra = rundir / "spectra.csv"
+    digest = hashlib.sha256(spectra.read_bytes()).hexdigest()
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(spectra.read_bytes())
+    reports = []
+    for path in (spectra, copy):
+        out = tmp_path / f"detect-{path.stem}.json"
+        assert main(["detect", "--estimate", str(path), "--band", "0:3.7e6",
+                     "--output", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert [r["manifest_vouched"] for r in reports] == [True, False]
+    assert [r["input_sha256"] for r in reports] == [digest, digest]
+    assert reports[0]["sigma_level"] == reports[1]["sigma_level"]
+
+
+def test_detect_refuses_an_unreadable_manifest(tmp_path, config_path, capsys):
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path),
+                 "--output-dir", str(rundir)]) == 0
+    (rundir / "manifest.json").write_text("{not json")
+    assert main(["detect", "--estimate", str(rundir / "spectra.csv"),
+                 "--band", "0:3.7e6"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_analyze_one_row_without_sample_rate(tmp_path):

@@ -33,6 +33,7 @@ from holonoise.spectral import (
     hann_window,
     segment_count,
     segment_step,
+    welch_blocks,
     window_sequence,
 )
 
@@ -223,6 +224,47 @@ def test_welch_threads_under_stress(monkeypatch, parity_pair):
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads_before
+
+
+def cut(series: list[np.ndarray], sizes: list[int]) -> list[tuple]:
+    """``series`` cut into consecutive blocks whose lengths cycle through ``sizes``."""
+    blocks, start, i = [], 0, 0
+    while start < len(series[0]):
+        stop = start + sizes[i % len(sizes)]
+        blocks.append(tuple(ch[start:stop] for ch in series))
+        start, i = stop, i + 1
+    return blocks
+
+
+@pytest.mark.parametrize("window", ["hann", "boxcar"])
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+@pytest.mark.parametrize("detrend", ["constant", False])
+def test_streamed_welch_is_the_one_shot_welch(cpus, parity_pair, window, overlap, detrend):
+    # Blocks that split segments and chunks anywhere, blocks shorter than a
+    # segment, and, at overlap 0.5 and 0.75, blocks of above 2^19 elements
+    # of work, which run on two threads with two CPUs: all give the one-shot
+    # bits.
+    pair = parity_pair
+    est = welch_csd(pair, SEG, overlap, window, detrend)
+    single = welch_psd(pair.ch2, FS, SEG, overlap, window, detrend)
+    sizes = [700, 150_001, 999, 40_000]
+    assert _workers.thread_count(9, 2 * (150_001 // (SEG // 2)) * SEG) == cpus
+    threads_before = threading.active_count()
+    streamed = welch_blocks(cut([pair.ch1, pair.ch2], sizes), FS, SEG, overlap, window, detrend)
+    streamed_single = welch_blocks(cut([pair.ch2], sizes), FS, SEG, overlap, window, detrend)
+    assert threading.active_count() == threads_before
+    assert streamed.n_avg == est.n_avg == segment_count(pair.n_samples, SEG, overlap)
+    for name in ("psd1", "psd2", "csd", "coherence"):
+        assert getattr(streamed, name).tobytes() == getattr(est, name).tobytes()
+        assert getattr(streamed_single, name).tobytes() == getattr(single, name).tobytes()
+
+
+def test_streamed_welch_rejects_too_few_samples():
+    blocks = cut([np.zeros(1000)], [300])
+    with pytest.raises(DomainError, match="length 1000 is shorter than one segment"):
+        welch_blocks(blocks, FS, 1024)
+    with pytest.raises(DomainError, match="length 0"):
+        welch_blocks([], FS, 1024)
 
 
 # ------------------------------------------------------------------ PSD level

@@ -26,11 +26,12 @@ from holonoise import (
     white_noise,
 )
 from holonoise import _workers, synthesis
+from holonoise.spectral import segment_count, welch_csd
 from holonoise.synthesis import (
     STREAM_COMMON,
+    STREAM_INCREMENTS,
     STREAM_SHOT1,
     STREAM_SHOT2,
-    brownian_difference,
     generator,
     window_split,
 )
@@ -39,16 +40,24 @@ FS = 5e7
 N_LONG = 2**20
 
 
-def feed(row: np.ndarray):
-    """An ``increments`` source that hands out successive slices of ``row``."""
-    taken = 0
+class Feed:
+    """A stand-in for a Philox generator that hands out successive slices of ``row``."""
 
-    def fill(out):
-        nonlocal taken
-        out[:] = row[taken : taken + len(out)]
-        taken += len(out)
+    def __init__(self, row: np.ndarray):
+        self.row, self.taken = row, 0
 
-    return fill
+    def standard_normal(self, out):
+        out[:] = self.row[self.taken : self.taken + len(out)]
+        self.taken += len(out)
+        return out
+
+
+def fed_common(monkeypatch, model, fs, pieces, increments):
+    """synthesize_common with its two streams replaced by the given draws."""
+    rows = {STREAM_COMMON: pieces, STREAM_INCREMENTS: increments}
+    with monkeypatch.context() as patch:
+        patch.setattr(synthesis, "generator", lambda seed, stream_id: Feed(rows[stream_id]))
+        return synthesize_common(model, fs, len(pieces) - window_split(model, fs)[0], seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +96,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         ExperimentConfig(shot_asd=-1e-18)
     with pytest.raises(DomainError):
-        ExperimentConfig(n_samples=1000)  # not a power of two
+        ExperimentConfig(n_samples=1000)  # below the 1024 floor
     with pytest.raises(DomainError):
         ExperimentConfig(n_samples=512)  # too short
     with pytest.raises(DomainError):
@@ -105,6 +114,14 @@ def test_config_validation():
     with pytest.raises(DomainError):
         # Undersampled: tau_c at 1 m is 6.7 ns, needs fs >= 6e8.
         ExperimentConfig(arm_length=1.0, sample_rate=5e7)
+
+
+def test_config_accepts_any_length_from_the_floor():
+    # n_samples need not be a power of two: Welch drops the partial tail.
+    cfg = ExperimentConfig(n_samples=100_000, segment_length=1024)
+    est = welch_csd(synthesize_pair(cfg), cfg.segment_length, cfg.overlap)
+    assert est.n_avg == segment_count(100_000, 1024, 0.5) == 194
+    assert ExperimentConfig(n_samples=1024, segment_length=1024).n_samples == 1024
 
 
 def test_config_dict_round_trip():
@@ -209,7 +226,7 @@ def test_common_rejects_short_series(model40):
 
 
 @pytest.mark.parametrize("fs", [2.5e7, 5e7, 7.3e7, 1e8])
-def test_common_linear_map_covariance_is_the_triangle(model40, fs):
+def test_common_linear_map_covariance_is_the_triangle(model40, monkeypatch, fs):
     # The sampler is linear in its standard-normal draws, x = A z, so its
     # covariance is A A^T exactly.  Build A column by column from unit draws
     # and compare with the Toeplitz triangle; S = fs tau_c runs over 6.67,
@@ -217,8 +234,7 @@ def test_common_linear_map_covariance_is_the_triangle(model40, fs):
     n = 64
     q, _ = window_split(model40, fs)
     unit_draws = np.eye(2 * (n + q)).reshape(-1, 2, n + q)
-    a = np.column_stack([brownian_difference(z[0], feed(z[1]), model40, fs)
-                         for z in unit_draws])
+    a = np.column_stack([fed_common(monkeypatch, model40, fs, *z) for z in unit_draws])
     lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / fs
     target = autocorrelation(model40, lags)
     assert np.max(np.abs(a @ a.T - target)) <= 1e-12 * model40.sigma2
@@ -241,18 +257,20 @@ def one_shot_moving_sum(draws, model, fs):
 
 @pytest.mark.parametrize("block", [1, 7, 64, 1000])
 def test_streamed_moving_sum_is_the_one_shot_sum(model40, monkeypatch, block):
-    # Summed SUM_BLOCK draws at a time (never fewer than q = 13), the series
-    # crosses many block boundaries and must still equal the single cumsum
-    # bit for bit, from explicit draws and from the generator alike.
-    monkeypatch.setattr(synthesis, "SUM_BLOCK", block)
+    # Made BLOCK_SAMPLES at a time (blocks of 1 and 7 are shorter than the
+    # q = 13 look-ahead), the series crosses many block boundaries and must
+    # still equal the single cumsum bit for bit, from explicit draws and
+    # from the generators alike.
+    monkeypatch.setattr(synthesis, "BLOCK_SAMPLES", block)
     n = 1000
     q, _ = window_split(model40, FS)
     draws = generator(77, STREAM_COMMON).standard_normal((2, n + q)) * 1e3
     draws[1, ::97] = -0.0
     expected = one_shot_moving_sum(draws, model40, FS)
-    streamed = brownian_difference(draws[0].copy(), feed(draws[1]), model40, FS)
+    streamed = fed_common(monkeypatch, model40, FS, *draws)
     assert streamed.tobytes() == expected.tobytes()
-    draws = generator(78, STREAM_COMMON).standard_normal((2, n + q))
+    draws = np.stack([generator(78, STREAM_COMMON).standard_normal(n + q),
+                      generator(78, STREAM_INCREMENTS).standard_normal(n + q)])
     assert (synthesize_common(model40, FS, n, seed=78).tobytes()
             == one_shot_moving_sum(draws, model40, FS).tobytes())
 
@@ -328,6 +346,35 @@ def test_pair_bits_do_not_depend_on_cpu_count(monkeypatch, cpus, holo_scale):
         assert getattr(pair, name).tobytes() == getattr(serial, name).tobytes()
     shot1 = white_noise(cfg.shot_asd, cfg.sample_rate, cfg.n_samples, 5, STREAM_SHOT1)
     assert pair.ch1.tobytes() == (serial.common + shot1).tobytes()
+
+
+@pytest.mark.parametrize("holo_scale,shot_asd", [(1.0, 2e-18), (0.0, 2e-18), (1.0, 0.0)])
+def test_pair_bits_do_not_depend_on_block_size(monkeypatch, holo_scale, shot_asd):
+    # Blocks that do not divide n, and blocks shorter than the look-ahead,
+    # give the bits of the default block, streamed or written in place;
+    # each streamed block is a checked pair.
+    cfg = ExperimentConfig(n_samples=5000, seed=6, holo_scale=holo_scale, shot_asd=shot_asd,
+                           segment_length=1024)
+    whole = synthesize_pair(cfg)
+    for block in (5, 1024, 4999):
+        monkeypatch.setattr(synthesis, "BLOCK_SAMPLES", block)
+        blocks = list(synthesis.synthesize_blocks(cfg))
+        assert all(isinstance(b, TimeSeriesPair) for b in blocks)
+        assert [b.n_samples for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        in_place = synthesize_pair(cfg)
+        for name in ("ch1", "ch2", "common"):
+            joined = np.concatenate([getattr(b, name) for b in blocks])
+            assert joined.tobytes() == getattr(whole, name).tobytes()
+            assert getattr(in_place, name).tobytes() == getattr(whole, name).tobytes()
+
+
+def test_pair_blocks_refuse_non_finite(monkeypatch):
+    # A non-finite draw fails the block's TimeSeriesPair check.
+    monkeypatch.setattr(synthesis, "BLOCK_SAMPLES", 1024)
+    monkeypatch.setattr(synthesis, "_shot", lambda stream, out, scale: out.fill(np.inf))
+    blocks = synthesis.synthesize_blocks(ExperimentConfig(n_samples=4096, segment_length=1024))
+    with pytest.raises(DomainError, match="non-finite"):
+        next(blocks)
 
 
 def test_pair_zero_shot_noise_identical_channels():
