@@ -7,7 +7,7 @@ common component through Welch cross-spectra with calibrated detection
 statistics.  See the README for the command-line interface.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .constants import CONSTANTS, PhysicalConstants, codata_constants
 from .detection import (
@@ -42,7 +42,7 @@ from .slits import (
     separation_sweep,
     threshold_crossing,
 )
-from .spectral import SpectralEstimate, XcorrEstimate, welch_csd, welch_psd, xcorr
+from .spectral import SpectralEstimate, XcorrEstimate, welch_csd, xcorr
 from .synthesis import (
     ExperimentConfig,
     TimeSeriesPair,
@@ -89,7 +89,6 @@ __all__ = [
     "threshold_crossing",
     "transverse_uncertainty",
     "welch_csd",
-    "welch_psd",
     "white_noise",
     "xcorr",
 ]

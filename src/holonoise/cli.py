@@ -98,20 +98,6 @@ def _parse_band(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _json_block(values: dict) -> str:
-    """Flat JSON object with every float at 17 significant digits."""
-    lines = []
-    for key, val in values.items():
-        if isinstance(val, bool) or isinstance(val, int):
-            rendered = str(val)
-        elif isinstance(val, float):
-            rendered = format(val, ".16e")
-        else:
-            rendered = json.dumps(val)
-        lines.append(f'  "{key}": {rendered}')
-    return "{\n" + ",\n".join(lines) + "\n}"
-
-
 def _format_block(task: tuple[str, np.ndarray]) -> bytes:
     row_template, block = task
     return (row_template * len(block) % tuple(block.ravel().tolist())).encode()
@@ -384,7 +370,7 @@ def _estimate_from_csv(path: Path) -> SpectralEstimate:
 def cmd_constants(args) -> int:
     _write_text(
         Path(args.output) if args.output else None,
-        _json_block(CONSTANTS.as_dict()) + "\n",
+        json.dumps(CONSTANTS.as_dict(), indent=2) + "\n",
     )
     return 0
 
@@ -415,7 +401,7 @@ def cmd_info(args) -> int:
     budget = info_budget(args.length)
     _write_text(
         Path(args.output) if args.output else None,
-        _json_block(
+        json.dumps(
             {
                 "length_m": budget.L,
                 "pixel_size_m": budget.pixel_size,
@@ -425,7 +411,8 @@ def cmd_info(args) -> int:
                 "total_info": budget.total_info,
                 "field_theory_info": budget.field_theory_info,
                 "ratio": budget.ratio,
-            }
+            },
+            indent=2,
         )
         + "\n",
     )
@@ -566,11 +553,12 @@ def cmd_analyze(args) -> int:
                 "and two increasing time values; pass --sample-rate"
             )
         fs = 1.0 / step
+    # Without a flag or header, the segmenting is ExperimentConfig's default.
     segment_length = args.segment_length or _header_value(
-        meta, "segment_length", path, int, 8192
+        meta, "segment_length", path, int, ExperimentConfig.segment_length
     )
     overlap = args.overlap if args.overlap is not None else _header_value(
-        meta, "overlap", path, float, 0.5
+        meta, "overlap", path, float, ExperimentConfig.overlap
     )
     common = data[:, 3] if data.shape[1] == 4 else np.zeros(len(data))
     pair = TimeSeriesPair(sample_rate=fs, ch1=data[:, 1], ch2=data[:, 2], common=common)

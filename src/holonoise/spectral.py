@@ -11,15 +11,16 @@ the next, and each chunk sum joins the running total in chunk order as the
 chunk completes, so memory is fixed by the block, not the series, and the
 bits depend on neither the cut into blocks, the batch size nor the number
 of worker threads a block's chunks are shared among (see
-`_workers.ThreadMap`).  `welch_psd` and `welch_csd` are the one-block case.
-The sums carry scipy.signal's one-sided density scaling (Welch 1967;
-Heinzel, Ruediger & Schilling 2002): a flat input returns its ASD^2 level,
-and DC and Nyquist are not doubled.  Hann window and 50% overlap are the
-defaults, and the explicit segment count ``n_avg`` tells downstream
+`_workers.ThreadMap`).  `welch_csd` is the one-block case.  The sums carry
+scipy.signal's one-sided density scaling (Welch 1967; Heinzel, Ruediger &
+Schilling 2002) with ``detrend="constant"``: a flat input returns its ASD^2
+level, and DC and Nyquist are not doubled.  Hann window and 50% overlap
+are the defaults, and the explicit segment count ``n_avg`` tells downstream
 detection statistics exactly how much averaging went in.  The window is
-``hann`` or ``boxcar``, both in closed form, and `segment_step` is the one
-place the segment step and the overlap range are decided.  Everything here
-is numpy.
+``hann`` or ``boxcar``, both in closed form.  `check_segment_length` is the
+one place the segment length rule is decided, and `segment_step` the one
+place the segment step and the overlap range are; `ExperimentConfig` calls
+both.  Everything here is numpy.
 """
 
 from __future__ import annotations
@@ -27,13 +28,16 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._workers import ThreadMap, thread_count
 from .errors import DomainError
-from .synthesis import TimeSeriesPair
+
+if TYPE_CHECKING:
+    from .synthesis import TimeSeriesPair
 
 #: Segments summed before their sum joins the running total; this fixes the
 #: order of the additions, and so the bits of every spectrum.
@@ -67,6 +71,16 @@ class XcorrEstimate:
     lags: np.ndarray   # s, symmetric about 0
     xcov: np.ndarray   # m^2
     n: int             # series length used
+
+
+def check_segment_length(segment_length: int) -> None:
+    """Refuse a Welch segment length that is not a power of two >= 64."""
+    if not isinstance(segment_length, int) or segment_length < 64 or (
+        segment_length & (segment_length - 1)
+    ):
+        raise DomainError(
+            f"segment_length must be a power of two >= 64, got {segment_length!r}"
+        )
 
 
 def segment_step(segment_length: int, overlap: float) -> int:
@@ -126,28 +140,28 @@ def _sum_rows(terms: np.ndarray, a: int, b: int, carry: bool, out: np.ndarray) -
         terms[a + 1 : b + 1].sum(axis=0, out=out)
 
 
-def _work_arrays(channels: int, length: int):
+def _work_arrays(length: int):
     """What one worker writes into: a scratch buffer, a spectrum per channel,
     and the rows to sum, for batches of ``FFT_BATCH_SAMPLES // length`` segments."""
     rows, n_freq = max(1, FFT_BATCH_SAMPLES // length), length // 2 + 1
     return (
         np.empty(max(rows * length, 2 * (rows + 1) * n_freq)),
-        [np.empty((rows, n_freq), dtype=complex) for _ in range(channels)],
+        [np.empty((rows, n_freq), dtype=complex) for _ in range(2)],
         np.empty((rows + 1, n_freq)),
     )
 
 
-def _chunk_sums(segments, base, win, detrend, first, stop, work, power, cross):
+def _chunk_sums(segments, base, win, first, stop, work, power, cross):
     """Sum the segments ``first`` to ``stop`` into their chunks' rows: row
     i - base // SEGMENT_CHUNK of ``power[c]`` gets chunk i's sum of |X_c|^2
-    and, for a pair, the same row of ``cross`` its sum of conj(X1) X2.
+    and the same row of ``cross`` its sum of conj(X1) X2.
 
     Segment indices count from the start of the series, and ``segments``
-    holds segment ``base`` onwards.  A chunk that began before ``first``
-    adds onto the sum its row already holds.  Segments go through the FFT
-    a batch at a time, whatever chunks they belong to, and every step
-    writes into the ``work`` arrays, so a worker needs a fixed few times
-    ``FFT_BATCH_SAMPLES`` floats.
+    holds each channel's segments from ``base`` onwards.  A chunk that
+    began before ``first`` adds onto the sum its row already holds.
+    Segments go through the FFT a batch at a time, whatever chunks they
+    belong to, and every step writes into the ``work`` arrays, so a worker
+    needs a fixed few times ``FFT_BATCH_SAMPLES`` floats.
     """
     scratch, spectra, terms = work
     length = len(win)
@@ -164,22 +178,19 @@ def _chunk_sums(segments, base, win, detrend, first, stop, work, power, cross):
         for seg, spectrum, total in zip(segments, spectra, power):
             chunk = seg[lo - base : lo - base + k]
             x = scratch[: k * length].reshape(k, length)
-            if detrend:
-                np.subtract(chunk, chunk.mean(axis=-1, keepdims=True), out=x)
-                chunk = x
-            np.multiply(chunk, win, out=x)
+            np.subtract(chunk, chunk.mean(axis=-1, keepdims=True), out=x)
+            x *= win
             spec = np.fft.rfft(x, out=spectrum[:k])
             im2 = np.square(spec.imag, out=scratch[: k * n_freq].reshape(k, n_freq))
             re2 = np.square(spec.real, out=terms[1 : k + 1])
             re2 += im2
             for i, a, b in pieces:
                 _sum_rows(terms, a, b, (lo + a) % SEGMENT_CHUNK > 0, total[i])
-        if len(segments) == 2:
-            prod = scratch[: 2 * (k + 1) * n_freq].view(complex).reshape(k + 1, n_freq)
-            np.conjugate(spectra[0][:k], out=prod[1:])
-            prod[1:] *= spectra[1][:k]
-            for i, a, b in pieces:
-                _sum_rows(prod, a, b, (lo + a) % SEGMENT_CHUNK > 0, cross[i])
+        prod = scratch[: 2 * (k + 1) * n_freq].view(complex).reshape(k + 1, n_freq)
+        np.conjugate(spectra[0][:k], out=prod[1:])
+        prod[1:] *= spectra[1][:k]
+        for i, a, b in pieces:
+            _sum_rows(prod, a, b, (lo + a) % SEGMENT_CHUNK > 0, cross[i])
 
 
 def welch_blocks(
@@ -188,25 +199,28 @@ def welch_blocks(
     segment_length: int,
     overlap: float = 0.5,
     window: str = "hann",
-    detrend="constant",
 ) -> SpectralEstimate:
-    """One-pass Welch spectra of one channel or a pair, from consecutive blocks.
+    """One-pass Welch auto- and cross-spectra of a channel pair, from consecutive blocks.
 
     Parameters
     ----------
-    blocks : iterable of sequences of arrays
-        Consecutive pieces of the series, each a sequence of one channel
-        array or of two of equal length; together they are the whole
-        series, and any piece may be any length.
-    sample_rate, segment_length, overlap, window, detrend
-        As for `welch_psd`.
+    blocks : iterable of (ch1, ch2) array pairs
+        Consecutive pieces of the pair, the two arrays of a piece of equal
+        length; together they are the whole series, and any piece may be
+        any length.
+    sample_rate : float
+        Sampling rate in Hz.
+    segment_length : int
+        Samples per segment, a power of two >= 64 (`check_segment_length`).
+    overlap : float, optional
+        Fractional segment overlap in [0, 0.75] (`segment_step`).
+    window : "hann" or "boxcar", optional
+        Periodic window applied to every segment after its mean is removed.
 
     Returns
     -------
     SpectralEstimate
-        The bits `welch_psd` or `welch_csd` give on the blocks put end to
-        end.  A single channel is the degenerate pair: psd2 = psd1, csd real
-        and coherence identically 1.
+        The bits `welch_csd` gives on the blocks put end to end.
 
     Segments are counted from the first sample, and the samples of a
     segment not yet whole, fewer than ``segment_length``, are carried into
@@ -215,52 +229,44 @@ def welch_blocks(
     running total in chunk order as the chunk completes, so the result is
     the same bits on any CPU count and for any cut into blocks.
     """
-    if not (detrend is False or detrend == "constant"):
-        raise DomainError(f"detrend must be 'constant' or False, got {detrend!r}")
-    if not isinstance(segment_length, int) or segment_length < 64 or (
-        segment_length & (segment_length - 1)
-    ):
-        raise DomainError(
-            f"segment_length must be a power of two >= 64, got {segment_length!r}"
-        )
+    check_segment_length(segment_length)
     step = segment_step(segment_length, overlap)
     win = window_sequence(window, segment_length)
     n_freq = segment_length // 2 + 1
 
     n = done = 0  # samples seen, and segments summed, so far
-    carry = totals = open_chunk = None
+    carry = [np.empty(0), np.empty(0)]
+    totals, csd = np.zeros((2, n_freq)), np.zeros(n_freq, dtype=complex)
+    open_chunk = None
     work: list = []
     with ThreadMap() as threads:
 
         def accumulate(segments, first, stop):
             """Sum segments ``first`` to ``stop``, which ``segments`` holds from
             ``first`` on, and add the chunks they complete to the totals."""
-            nonlocal open_chunk, csd
+            nonlocal open_chunk, totals, csd
             row0, rows = first // SEGMENT_CHUNK, -(-stop // SEGMENT_CHUNK)
-            power = np.empty((len(segments), rows - row0, n_freq))
+            power = np.empty((2, rows - row0, n_freq))
             cross = np.empty((rows - row0, n_freq), dtype=complex)
             if open_chunk is not None:
                 power[:, 0], cross[0] = open_chunk
-            load = len(segments) * (stop - first) * segment_length
+            load = 2 * (stop - first) * segment_length
             groups = np.array_split(np.arange(row0, rows), thread_count(rows - row0, load))
             # Every array a worker writes is allocated here: memory that a worker
             # thread allocates stays in that thread's malloc arena after it ends.
-            work.extend(_work_arrays(len(segments), segment_length)
-                        for _ in range(len(groups) - len(work)))
+            work.extend(_work_arrays(segment_length) for _ in range(len(groups) - len(work)))
             tasks = [
                 (max(first, g[0] * SEGMENT_CHUNK), min(stop, (g[-1] + 1) * SEGMENT_CHUNK), w)
                 for g, w in zip(groups, work)
             ]
             threads.map(
-                lambda task: _chunk_sums(segments, first, win, detrend, *task, power, cross),
+                lambda task: _chunk_sums(segments, first, win, *task, power, cross),
                 tasks, load,
             )
             complete = stop // SEGMENT_CHUNK - row0
             for i in range(complete):
-                for acc, sums in zip(totals, power):
-                    acc += sums[i]
-                if len(totals) == 2:
-                    csd += cross[i]
+                totals += power[:, i]
+                csd += cross[i]
             open_chunk = (power[:, complete], cross[complete]) if stop % SEGMENT_CHUNK else None
 
         def windows(series, count):
@@ -269,10 +275,6 @@ def welch_blocks(
         for block in blocks:
             channels = [np.ascontiguousarray(ch, dtype=float) for ch in block]
             n += len(channels[0])
-            if carry is None:
-                totals = [np.zeros(n_freq) for _ in channels]
-                csd = np.zeros(n_freq, dtype=complex)
-                carry = [ch[:0] for ch in channels]
             # Segment ``done`` starts at carry[0].  The ``head`` segments that
             # start in the carry are cut from it joined to the block's first
             # samples; the rest are cut from the block itself.
@@ -298,28 +300,21 @@ def welch_blocks(
             f"series of length {n} is shorter than one segment ({segment_length})"
         )
     if open_chunk is not None:
-        for acc, sums in zip(totals, open_chunk[0]):
-            acc += sums
-        if len(totals) == 2:
-            csd += open_chunk[1]
+        totals += open_chunk[0]
+        csd += open_chunk[1]
 
     # One-sided density: every bin but DC and Nyquist carries both signs.
     scale = np.full(n_freq, 2.0 / (sample_rate * float(np.dot(win, win)) * done))
     scale[0] /= 2.0
     scale[-1] /= 2.0
-    psds = [acc * scale for acc in totals]
-    if len(psds) == 1:
-        (psd1,) = psds
-        psd2, csd, coherence = psd1.copy(), psd1.astype(complex), np.ones(n_freq)
-    else:
-        (psd1, psd2), csd = psds, csd * scale
-        coherence = coherence_of(psd1, psd2, csd)
+    psd1, psd2 = totals * scale
+    csd *= scale
     return SpectralEstimate(
         freqs=np.fft.rfftfreq(segment_length, 1.0 / sample_rate),
         psd1=psd1,
         psd2=psd2,
         csd=csd,
-        coherence=coherence,
+        coherence=coherence_of(psd1, psd2, csd),
         n_avg=done,
         segment_length=segment_length,
         overlap=overlap,
@@ -328,56 +323,20 @@ def welch_blocks(
     )
 
 
-def welch_psd(
-    series: np.ndarray,
-    sample_rate: float,
-    segment_length: int,
-    overlap: float = 0.5,
-    window: str = "hann",
-    detrend="constant",
-) -> SpectralEstimate:
-    """Welch PSD of a single series, packaged as a degenerate pair estimate.
-
-    Parameters
-    ----------
-    series : array_like
-        Real time series in metres.
-    sample_rate : float
-        Sampling rate in Hz.
-    segment_length : int
-        Samples per segment (power of two).
-    overlap : float, optional
-        Fractional segment overlap in [0, 0.75].
-    window : "hann" or "boxcar", optional
-        Periodic window applied to every segment.
-    detrend : "constant" or False, optional
-        The default removes each segment's mean; False leaves segments as is.
-
-    Returns
-    -------
-    SpectralEstimate
-        With psd1 = psd2 = the PSD, csd real, coherence identically 1.
-    """
-    return welch_blocks([(series,)], sample_rate, segment_length, overlap, window, detrend)
-
-
 def welch_csd(
     pair: TimeSeriesPair,
     segment_length: int,
     overlap: float = 0.5,
     window: str = "hann",
-    detrend="constant",
 ) -> SpectralEstimate:
-    """Welch auto- and cross-spectra of a channel pair.
+    """Welch auto- and cross-spectra of a channel pair, as `welch_blocks`.
 
     The cross spectrum follows the conj(X1) * X2 convention, so swapping
     the channels conjugates it.  Coherence is computed per bin from the
     averaged spectra and clipped to [0, 1]; bins with zero PSD product get
     coherence 0.
     """
-    return welch_blocks(
-        [(pair.ch1, pair.ch2)], pair.sample_rate, segment_length, overlap, window, detrend
-    )
+    return welch_blocks([(pair.ch1, pair.ch2)], pair.sample_rate, segment_length, overlap, window)
 
 
 def xcorr(pair: TimeSeriesPair, max_lag: float) -> XcorrEstimate:

@@ -25,6 +25,11 @@ a Philox stream drawn a block at a time gives the bits of one draw, so
 `synthesize_pair` and `synthesize_common`, the blocks put end to end, do not
 depend on the block size.
 
+`ExperimentConfig` refuses a run before anything is drawn or written, by
+the rules of the code that applies them: `spectral.check_segment_length`
+and `spectral.segment_step` for the Welch segmenting, and the sampling
+check of synthesis for sample_rate * tau_c >= 4.
+
 All randomness is drawn from counter-based Philox generators keyed by
 ``SeedSequence(seed, spawn_key=(stream_id,))``: the common component's
 r-pieces (stream 0) and unit-interval rests (stream 3), and the two shot
@@ -45,9 +50,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ._workers import ThreadMap
-from .constants import CONSTANTS
 from .errors import DomainError
 from .model import HolographicModel
+from .spectral import check_segment_length, segment_step
 
 #: Stream identifiers for the per-run Philox substreams: the common
 #: component's r-long pieces, the two shot-noise floors, and the rest of the
@@ -69,10 +74,6 @@ def generator(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One reproducible run of the twin-interferometer simulation."""
@@ -83,7 +84,7 @@ class ExperimentConfig:
     n_samples: int = 2**22        # at least 1024
     seed: int = 0                 # 64-bit master seed
     holo_scale: float = 1.0       # common-component power multiplier
-    segment_length: int = 8192    # Welch segment, power of two
+    segment_length: int = 8192    # Welch segment, power of two >= 64
     overlap: float = 0.5          # Welch segment overlap fraction
 
     def __post_init__(self):
@@ -99,20 +100,13 @@ class ExperimentConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not math.isfinite(self.holo_scale) or self.holo_scale < 0.0:
             raise DomainError(f"holo_scale must be >= 0, got {self.holo_scale!r}")
-        if not isinstance(self.segment_length, int) or not _is_pow2(self.segment_length):
-            raise DomainError(
-                f"segment_length must be a power of two, got {self.segment_length!r}"
-            )
+        # The segmenting and sampling rules are those of the code that uses
+        # them, checked here so a run is refused before it starts.
+        check_segment_length(self.segment_length)
         if self.segment_length > self.n_samples:
             raise DomainError("segment_length cannot exceed n_samples")
-        if not 0.0 <= self.overlap <= 0.75:
-            raise DomainError(f"overlap must lie in [0, 0.75], got {self.overlap!r}")
-        tau_c = 2.0 * self.arm_length / CONSTANTS.c
-        if self.sample_rate * tau_c < 4.0:
-            raise DomainError(
-                "undersampled: sample_rate * tau_c = "
-                f"{self.sample_rate * tau_c:.3f} < 4; raise sample_rate or arm_length"
-            )
+        segment_step(self.segment_length, self.overlap)
+        _check_sampling(self.model(), self.sample_rate)
 
     def model(self) -> HolographicModel:
         return HolographicModel.from_baseline(self.arm_length)
@@ -179,12 +173,17 @@ def window_split(model: HolographicModel, sample_rate: float) -> tuple[int, floa
     return q, s - q
 
 
-def _check_common(model: HolographicModel, sample_rate: float, n: int) -> None:
+def _check_sampling(model: HolographicModel, sample_rate: float) -> None:
+    """Refuse a sample rate that puts fewer than 4 samples in the window tau_c."""
     if sample_rate * model.tau_c < 4.0:
         raise DomainError(
             "undersampled: sample_rate * tau_c = "
-            f"{sample_rate * model.tau_c:.3f} < 4"
+            f"{sample_rate * model.tau_c:.3f} < 4; raise sample_rate or arm_length"
         )
+
+
+def _check_common(model: HolographicModel, sample_rate: float, n: int) -> None:
+    _check_sampling(model, sample_rate)
     support = int(math.ceil(sample_rate * model.tau_c))
     if n < 2 * support:
         raise DomainError(

@@ -204,6 +204,9 @@ def test_info_hair_width(tmp_path):
     budget = json.loads(out.read_text())
     assert budget["pixel_size_m"] == pytest.approx(1.15e-4, rel=1e-3)
     assert budget["ratio"] == pytest.approx(budget["length_m"] / CONSTANTS.l_P, rel=1e-12)
+    # Every value parses back to the double info_budget computed.
+    assert budget["ratio"] == holonoise.info_budget(1.3e26).ratio
+    assert budget["total_info"] == holonoise.info_budget(1.3e26).total_info
 
 
 def test_info_rejects_sub_planckian():
@@ -276,7 +279,7 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
     assert "common pieces=0, increments=3 (Brownian-difference moving sum)" in manifest["prng"]
-    assert manifest["version"] == holonoise.__version__ == "0.6.0"
+    assert manifest["version"] == holonoise.__version__ == "0.7.0"
     assert manifest["numpy_version"] == np.__version__
     import hashlib
 
@@ -388,6 +391,19 @@ def test_simulate_too_short_for_the_window_writes_nothing(tmp_path, capsys):
                  "--dump-timeseries"]) == 1
     assert "too short" in capsys.readouterr().err
     assert list(run.iterdir()) == []
+
+
+def test_simulate_refuses_a_segment_length_welch_refuses_before_writing(tmp_path, capsys):
+    # A 32-sample segment is a power of two, but below the Welch floor of 64:
+    # the config is refused with the Welch message before any output exists.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIG, segment_length=32, n_samples=4096)))
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output-dir", str(run),
+                 "--dump-timeseries"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: segment_length must be a power of two >= 64, got 32\n"
+    assert not run.exists()
 
 
 def test_simulate_unknown_config_field(tmp_path, capsys):
@@ -663,6 +679,22 @@ def test_detect_refuses_an_unreadable_manifest(tmp_path, config_path, capsys):
     assert main(["detect", "--estimate", str(rundir / "spectra.csv"),
                  "--band", "0:3.7e6"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_analyze_without_segmenting_headers_uses_the_config_defaults(tmp_path):
+    # 16384 rows at ExperimentConfig's 8192-sample, 50%-overlap segments: 3.
+    rng = np.random.default_rng(3)
+    rows = np.column_stack([np.arange(16384) / 5e7, rng.standard_normal((16384, 2))])
+    series = tmp_path / "timeseries.csv"
+    _write_csv(series, {"sample_rate_hz": 5e7}, ["time_s", "ch1_m", "ch2_m"], rows)
+    out = tmp_path / "spectra.csv"
+    assert main(["analyze", "--timeseries", str(series), "--output", str(out)]) == 0
+    meta, data = read_csv(out)
+    defaults = ExperimentConfig()
+    assert int(meta["segment_length"]) == defaults.segment_length
+    assert float(meta["overlap"]) == defaults.overlap
+    assert int(meta["n_avg"]) == 3
+    assert len(data) == defaults.segment_length // 2 + 1
 
 
 def test_analyze_one_row_without_sample_rate(tmp_path):

@@ -2,8 +2,9 @@
 
 Oracles: scipy.signal's window, Welch and correlate routines, the white-noise
 generator's variance formula, Parseval's theorem (exact for a rectangular
-window with no overlap and no detrending), a bin-centered sinusoid, and a
-brute-force O(n k) cross-covariance loop.
+window with no overlap, against the mean square of the demeaned segments),
+a bin-centered sinusoid, and a brute-force O(n k) cross-covariance loop.
+The spectrum of a single series x is ``psd1`` of the pair (x, x).
 """
 
 import math
@@ -23,7 +24,6 @@ from holonoise import (
     autocorrelation,
     synthesize_pair,
     welch_csd,
-    welch_psd,
     white_noise,
     xcorr,
 )
@@ -44,6 +44,23 @@ def make_pair(ch1: np.ndarray, ch2: np.ndarray, fs: float = FS) -> TimeSeriesPai
     return TimeSeriesPair(
         sample_rate=fs, ch1=ch1, ch2=ch2, common=np.zeros_like(ch1)
     )
+
+
+def zero_mean_segments(x: np.ndarray, seg: int, overlap: float) -> np.ndarray:
+    """``x`` with the mean of every gcd(seg, step)-sample block removed, so
+    that every Welch segment, a whole number of such blocks, has zero mean."""
+    size = math.gcd(seg, segment_step(seg, overlap))
+    out = x.copy()
+    blocks = out[: len(x) // size * size].reshape(-1, size)
+    blocks -= blocks.mean(axis=1, keepdims=True)
+    return out
+
+
+# The estimate removes every segment's mean, so it is scipy's Welch with
+# detrend="constant" on any series, and with detrend=False as well on a
+# series whose segments have zero mean.  The cases named after a scipy
+# ``detrend`` feed the raw series ("constant") or that series with its
+# segments made zero-mean (False, `zero_mean_segments`).
 
 
 # ------------------------------------------------------------------- plumbing
@@ -76,26 +93,27 @@ def test_segment_step_owns_the_overlap_range():
 
 
 def test_invalid_segmenting():
-    x = np.zeros(512)
+    pair = make_pair(np.zeros(512), np.zeros(512))
     with pytest.raises(DomainError):
-        welch_psd(x, FS, 100)  # not a power of two
+        welch_csd(pair, 100)  # not a power of two
     with pytest.raises(DomainError):
-        welch_psd(x, FS, 32)  # too short a segment
+        welch_csd(pair, 32)  # too short a segment
     with pytest.raises(DomainError):
-        welch_psd(x, FS, 1024)  # series shorter than one segment
+        welch_csd(pair, 1024)  # series shorter than one segment
     with pytest.raises(DomainError):
-        welch_psd(x, FS, 256, overlap=0.9)
+        welch_csd(pair, 256, overlap=0.9)
 
 
 def test_invalid_detrend_and_window():
-    x = np.zeros(512)
-    with pytest.raises(DomainError, match="detrend"):
-        welch_psd(x, FS, 256, detrend="linear")
+    pair = make_pair(np.zeros(512), np.zeros(512))
+    # Mean removal is not an option: every segment's mean is removed.
+    with pytest.raises(TypeError, match="detrend"):
+        welch_csd(pair, 256, detrend="linear")
     with pytest.raises(DomainError, match="unknown window 'bogus'"):
-        welch_psd(x, FS, 256, window="bogus")
+        welch_csd(pair, 256, window="bogus")
     # Only hann and boxcar exist: other scipy window names are refused.
     with pytest.raises(DomainError, match="unknown window 'hamming'"):
-        welch_psd(x, FS, 256, window="hamming")
+        welch_csd(pair, 256, window="hamming")
 
 
 # ------------------------------------------------------------- scipy oracle
@@ -126,20 +144,20 @@ def test_welch_matches_scipy(window, overlap, detrend):
     n = seg * (2 * SEGMENT_CHUNK + 5)
     cfg = ExperimentConfig(n_samples=2**16, seed=21, holo_scale=4.0)
     full = synthesize_pair(cfg)
-    pair = make_pair(full.ch1[:n] + 3e-16, full.ch2[:n], fs=cfg.sample_rate)
+    channels = [full.ch1[:n] + 3e-16, full.ch2[:n]]
+    if detrend is False:
+        channels = [zero_mean_segments(ch, seg, overlap) for ch in channels]
+    pair = make_pair(*channels, fs=cfg.sample_rate)
     kwargs = dict(fs=cfg.sample_rate, window=window, nperseg=seg,
                   noverlap=int(round(seg * overlap)), detrend=detrend)
     freqs, psd1 = signal.welch(pair.ch1, **kwargs)
     _, psd2 = signal.welch(pair.ch2, **kwargs)
     _, csd = signal.csd(pair.ch1, pair.ch2, **kwargs)
 
-    est = welch_csd(pair, seg, overlap=overlap, window=window, detrend=detrend)
-    single = welch_psd(pair.ch1, cfg.sample_rate, seg, overlap=overlap,
-                       window=window, detrend=detrend)
-    assert est.n_avg == single.n_avg == segment_count(n, seg, overlap)
+    est = welch_csd(pair, seg, overlap=overlap, window=window)
+    assert est.n_avg == segment_count(n, seg, overlap)
     assert np.array_equal(est.freqs, freqs)
-    for mine, ref in [(est.psd1, psd1), (est.psd2, psd2), (est.csd, csd),
-                      (single.psd1, psd1)]:
+    for mine, ref in [(est.psd1, psd1), (est.psd2, psd2), (est.csd, csd)]:
         assert np.max(np.abs(mine - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -154,27 +172,32 @@ def parity_pair():
     return make_pair(full.ch1[:n] + 3e-16, full.ch2[:n], fs=cfg.sample_rate)
 
 
-def welch_bits(pair, window="hann", detrend="constant"):
-    """The bytes of both spectra of ``pair`` and of welch_psd of its ch2."""
-    est = welch_csd(pair, SEG, window=window, detrend=detrend)
-    single = welch_psd(pair.ch2, pair.sample_rate, SEG, window=window, detrend=detrend)
-    assert est.n_avg == single.n_avg == N_AVG
-    return [a.tobytes() for a in (est.psd1, est.psd2, est.csd, est.coherence, single.psd1)]
+def welch_bits(pair, window="hann"):
+    """The bytes of the spectra and coherence of ``pair``."""
+    est = welch_csd(pair, SEG, window=window)
+    assert est.n_avg == N_AVG
+    return [a.tobytes() for a in (est.psd1, est.psd2, est.csd, est.coherence)]
+
+
+def zero_mean_pair(pair, overlap=0.5):
+    """``pair`` with every Welch segment of SEG samples made zero-mean."""
+    return make_pair(*(zero_mean_segments(ch, SEG, overlap) for ch in (pair.ch1, pair.ch2)),
+                     fs=pair.sample_rate)
 
 
 @pytest.mark.parametrize("window,detrend", [("hann", "constant"), ("boxcar", False)])
 def test_welch_bits_do_not_depend_on_cpu_count(monkeypatch, cpus, parity_pair, window,
                                                detrend):
-    # The 20 chunks split unevenly between two threads, and one channel's
-    # work is already above the thread floor, so welch_psd runs threaded too.
+    # The 20 chunks split unevenly between two threads.
     assert N_AVG % (SEGMENT_CHUNK * 2)
-    assert _workers.thread_count(20, N_AVG * SEG) == cpus
+    assert _workers.thread_count(20, 2 * N_AVG * SEG) == cpus
+    pair = parity_pair if detrend else zero_mean_pair(parity_pair)
     threads_before = threading.active_count()
-    got = welch_bits(parity_pair, window, detrend)
+    got = welch_bits(pair, window)
     assert threading.active_count() == threads_before
     with monkeypatch.context() as one_cpu:
         one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert got == welch_bits(parity_pair, window, detrend)
+        assert got == welch_bits(pair, window)
 
 
 def whole_chunk_spectra(pair, seg):
@@ -244,23 +267,20 @@ def test_streamed_welch_is_the_one_shot_welch(cpus, parity_pair, window, overlap
     # segment, and, at overlap 0.5 and 0.75, blocks of above 2^19 elements
     # of work, which run on two threads with two CPUs: all give the one-shot
     # bits.
-    pair = parity_pair
-    est = welch_csd(pair, SEG, overlap, window, detrend)
-    single = welch_psd(pair.ch2, FS, SEG, overlap, window, detrend)
+    pair = parity_pair if detrend else zero_mean_pair(parity_pair, overlap)
+    est = welch_csd(pair, SEG, overlap, window)
     sizes = [700, 150_001, 999, 40_000]
     assert _workers.thread_count(9, 2 * (150_001 // (SEG // 2)) * SEG) == cpus
     threads_before = threading.active_count()
-    streamed = welch_blocks(cut([pair.ch1, pair.ch2], sizes), FS, SEG, overlap, window, detrend)
-    streamed_single = welch_blocks(cut([pair.ch2], sizes), FS, SEG, overlap, window, detrend)
+    streamed = welch_blocks(cut([pair.ch1, pair.ch2], sizes), FS, SEG, overlap, window)
     assert threading.active_count() == threads_before
     assert streamed.n_avg == est.n_avg == segment_count(pair.n_samples, SEG, overlap)
     for name in ("psd1", "psd2", "csd", "coherence"):
         assert getattr(streamed, name).tobytes() == getattr(est, name).tobytes()
-        assert getattr(streamed_single, name).tobytes() == getattr(single, name).tobytes()
 
 
 def test_streamed_welch_rejects_too_few_samples():
-    blocks = cut([np.zeros(1000)], [300])
+    blocks = cut([np.zeros(1000), np.zeros(1000)], [300])
     with pytest.raises(DomainError, match="length 1000 is shorter than one segment"):
         welch_blocks(blocks, FS, 1024)
     with pytest.raises(DomainError, match="length 0"):
@@ -274,14 +294,15 @@ def test_white_noise_psd_level():
     # asd = 2e-18 -> flat PSD 4e-36 m^2/Hz; >= 500 averages, 3% band.
     asd = 2e-18
     x = white_noise(asd, FS, 2**18, seed=10, stream_id=1)
-    est = welch_psd(x, FS, segment_length=512, overlap=0.5)
+    est = welch_csd(make_pair(x, x), segment_length=512, overlap=0.5)
     assert est.n_avg >= 500
     band = est.psd1[2:-1].mean()
     assert band == pytest.approx(asd**2, rel=0.03)
 
 
 def test_zero_input_zero_psd():
-    est = welch_psd(np.zeros(2**12), FS, 256)
+    x = np.zeros(2**12)
+    est = welch_csd(make_pair(x, x), 256)
     assert np.all(est.psd1 == 0.0)
 
 
@@ -292,7 +313,7 @@ def test_sinusoid_power():
     cycles = 64  # bin 64 of the segment FFT
     t = np.arange(n) / FS
     x = amp * np.sin(2 * np.pi * (cycles * FS / seg) * t)
-    est = welch_psd(x, FS, seg, overlap=0.5)
+    est = welch_csd(make_pair(x, x), seg, overlap=0.5)
     df = est.freqs[1] - est.freqs[0]
     peak = slice(cycles - 3, cycles + 4)
     power = float(np.sum(est.psd1[peak]) * df)
@@ -302,28 +323,30 @@ def test_sinusoid_power():
 def test_parseval_exact_rectangular():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(2**12)
-    est = welch_psd(x, FS, 1024, overlap=0.0, window="boxcar", detrend=False)
+    est = welch_csd(make_pair(x, x), 1024, overlap=0.0, window="boxcar")
     df = est.freqs[1] - est.freqs[0]
     # One-sided density: DC and Nyquist carry no doubling, so plain
     # rectangle-rule integration reproduces the mean square exactly.
     integral = float(np.sum(est.psd1) * df)
-    # Compare against the mean square averaged the same way welch segments it.
+    # Compare against the mean square averaged the same way welch segments
+    # it, each segment's mean removed.
     segments = x.reshape(-1, 1024)
-    ms = float(np.mean(segments**2))
+    ms = float(np.mean((segments - segments.mean(axis=1, keepdims=True)) ** 2))
     assert integral == pytest.approx(ms, rel=1e-12)
 
 
 def test_parseval_hann_within_one_percent():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(2**16)
-    est = welch_psd(x, FS, 512, overlap=0.5)
+    est = welch_csd(make_pair(x, x), 512, overlap=0.5)
     df = est.freqs[1] - est.freqs[0]
     integral = float(np.sum(est.psd1) * df)
     assert integral == pytest.approx(float(np.mean(x**2)), rel=0.01)
 
 
 def test_freq_grid():
-    est = welch_psd(np.zeros(2**12), FS, 256)
+    x = np.zeros(2**12)
+    est = welch_csd(make_pair(x, x), 256)
     assert est.freqs[0] == 0.0
     assert est.freqs[-1] == FS / 2
     assert np.all(np.diff(est.freqs) > 0)
@@ -395,8 +418,8 @@ def test_estimator_variance_halves_with_double_averaging():
     var_short, var_long = [], []
     for seed in range(60):
         x = white_noise(2e-18, FS, 2**13, seed=seed, stream_id=1)
-        e1 = welch_psd(x[: 2**12], FS, seg, overlap=0.0)
-        e2 = welch_psd(x, FS, seg, overlap=0.0)
+        e1 = welch_csd(make_pair(x[: 2**12], x[: 2**12]), seg, overlap=0.0)
+        e2 = welch_csd(make_pair(x, x), seg, overlap=0.0)
         var_short.append(e1.psd1[10])
         var_long.append(e2.psd1[10])
     ratio = float(np.var(var_short) / np.var(var_long))

@@ -26,7 +26,7 @@ from holonoise import (
     white_noise,
 )
 from holonoise import _workers, synthesis
-from holonoise.spectral import segment_count, welch_csd
+from holonoise.spectral import segment_count, welch_blocks, welch_csd
 from holonoise.synthesis import (
     STREAM_COMMON,
     STREAM_INCREMENTS,
@@ -114,6 +114,27 @@ def test_config_validation():
     with pytest.raises(DomainError):
         # Undersampled: tau_c at 1 m is 6.7 ns, needs fs >= 6e8.
         ExperimentConfig(arm_length=1.0, sample_rate=5e7)
+
+
+@pytest.mark.parametrize("segment_length,overlap",
+                         [(2, 0.5), (32, 0.5), (3000, 0.5), (1024, 0.9), (1024, 1.0)])
+def test_config_refuses_what_welch_refuses(segment_length, overlap):
+    # The config applies the Welch pass's own segmenting rules, so a run it
+    # accepts is never refused halfway, and its message is the same.
+    pair = (np.zeros(4096), np.zeros(4096))
+    with pytest.raises(DomainError) as welch:
+        welch_blocks([pair], FS, segment_length, overlap)
+    with pytest.raises(DomainError) as config:
+        ExperimentConfig(n_samples=4096, segment_length=segment_length, overlap=overlap)
+    assert str(config.value) == str(welch.value)
+
+
+def test_config_refuses_what_synthesis_refuses(model40):
+    with pytest.raises(DomainError) as synthesis_error:
+        synthesize_common(model40, 1e7, 2**12, seed=0)
+    with pytest.raises(DomainError) as config:
+        ExperimentConfig(sample_rate=1e7)
+    assert str(config.value) == str(synthesis_error.value)
 
 
 def test_config_accepts_any_length_from_the_floor():
