@@ -292,7 +292,7 @@ def _write_spectra(path: Path | None, est: SpectralEstimate, n_samples: int) -> 
         "n_samples": n_samples,
         "segment_length": est.segment_length,
         "overlap": est.overlap,
-        "window": est.window,
+        "window": "hann",
         "n_avg": est.n_avg,
     }
     return _write_csv(
@@ -310,6 +310,10 @@ def _estimate_from_csv(path: Path) -> SpectralEstimate:
     missing = sorted(required - set(meta))
     if missing:
         raise DomainError(f"spectra file {path} lacks header fields: {', '.join(missing)}")
+    # The null variance is computed for the Hann window, the only one Welch uses.
+    if meta["window"] != "hann":
+        raise DomainError(f"spectra file {path}: unknown window {meta['window']!r}; "
+                          "holonoise spectra are always 'hann'")
     if data.shape[1] != 6:
         raise DomainError(f"spectra file {path} must have 6 columns, found {data.shape[1]}")
     n_avg = _header_value(meta, "n_avg", path, int)
@@ -362,7 +366,6 @@ def _estimate_from_csv(path: Path) -> SpectralEstimate:
         n_avg=n_avg,
         segment_length=segment_length,
         overlap=overlap,
-        window=meta["window"],
         sample_rate=sample_rate,
     )
 
@@ -381,17 +384,15 @@ def cmd_predict(args) -> int:
     freqs = np.linspace(0.0, 10.0 / model.tau_c, 512)
     acf = autocorrelation(model, lags)
     psd = psd_model(model, freqs)
-    lines = [
-        f"# holonoise v{__version__}",
-        f"# arm_length_m = {_fmt(model.L)}",
-        f"# sigma2_m2 = {_fmt(model.sigma2)}",
-        f"# tau_c_s = {_fmt(model.tau_c)}",
-        f"# psd_zero_m2_per_hz = {_fmt(2.0 * model.sigma2 * model.tau_c)}",
-        "# psd convention: one-sided, integrates to sigma2_m2",
-        "# columns: quantity,x,value",
-    ]
+    meta = {
+        "arm_length_m": model.L,
+        "sigma2_m2": model.sigma2,
+        "tau_c_s": model.tau_c,
+        "psd_zero_m2_per_hz": 2.0 * model.sigma2 * model.tau_c,
+        "psd_convention": "one-sided, integrates to sigma2_m2",
+    }
     with _Output(Path(args.output) if args.output else None, len(lags) + len(freqs)) as out:
-        out.write(("\n".join(lines) + "\n").encode())
+        out.write(_csv_header(meta, ["quantity", "x", "value"]))
         out.rows(np.column_stack([lags, acf]), "acf,")
         out.rows(np.column_stack([freqs, psd]), "psd,")
     return 0
@@ -593,9 +594,9 @@ def _vouched(path: Path) -> tuple[str, bool]:
 
 def cmd_detect(args) -> int:
     path = Path(args.estimate)
+    digest, vouched = _vouched(path)
     estimate = _estimate_from_csv(path)
     report = null_significance(estimate, _parse_band(args.band))
-    digest, vouched = _vouched(path)
     values = dict(_report_dict(report), input_sha256=digest, manifest_vouched=vouched)
     _write_text(Path(args.output) if args.output else None, json.dumps(values, indent=2) + "\n")
     return 0
@@ -669,10 +670,6 @@ def main(argv=None) -> int:
         return 64
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(exc.usage)
-        sys.stderr.write(f"error: {exc}\n")
-        return 64
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

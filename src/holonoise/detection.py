@@ -6,14 +6,14 @@ model spectrum; under the null (independent channels) it is zero-mean
 Gaussian once ``n_avg >= 30`` segments are averaged.
 
 The null variance is exact for white channels and the Welch estimator
-actually used, computed from the window sequence itself: overlapping
-segments are correlated, every pair of bins k, k' is correlated through the
-window transform at k - k' and through its image at k + k', and each
-per-bin real part carries half the P1*P2 product.  Per-segment mean removal
-leaves bins >= 2 untouched for both windows, so the variance is the same
-with or without it; for coloured channels the measured P1*P2 levels stand
-in per bin.  Against the naive ``P1 P2 / (2 n_avg B)`` for a band of B
-bins, a Hann window at 50% overlap inflates the variance to
+actually used, computed from its Hann window itself: overlapping segments
+are correlated, every pair of bins k, k' is correlated through the window
+transform at k - k' and through its image at k + k', and each per-bin real
+part carries half the P1*P2 product.  Per-segment mean removal leaves bins
+>= 2 untouched, so the variance is the same with or without it; for
+coloured channels the measured P1*P2 levels stand in per bin.  Against the
+naive ``P1 P2 / (2 n_avg B)`` for a band of B bins, the Hann window at 50%
+overlap inflates the variance to
 ``1 + 2 (K - 1) / K * (1/6)^2`` (about 1.056 at K = n_avg = 1023) for a
 single bin, 1/6 being the window's correlation with itself shifted by half
 a segment, and to about 2.11 for a 1000-bin band, where neighbouring bins
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, UnreachableTargetError
 from .model import HolographicModel, psd_model
-from .spectral import SpectralEstimate, segment_step, window_sequence
+from .spectral import SpectralEstimate, hann_window, segment_step
 
 #: Minimum averages for the Gaussian-statistics regime.
 MIN_AVERAGES = 30
@@ -145,14 +145,13 @@ def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) ->
     lag s, with W_s the length-L transform of w[j] w[j + s].  The lag kernel
     sums those over every overlapping lag, and one rfft of sqrt(P1 P2)[idx]
     gives its autocorrelation (read at k - k') and self-convolution (read
-    at k + k'), so every bin pair is counted.  Reduces to P1 P2 / (2 K B)
-    for a rectangular window without overlap.
+    at k + k'), so every bin pair is counted.
     """
     length = estimate.segment_length
     step = segment_step(length, estimate.overlap)
     n_avg = estimate.n_avg
     n_bins = len(idx)
-    win = window_sequence(estimate.window, length)
+    win = hann_window(length)
     kernel = np.zeros(length)
     for dseg in range(min(n_avg, -(-length // step))):
         shift = dseg * step

@@ -154,22 +154,19 @@ def distinguishability(setup: SlitSetup, blur: float | None = None) -> PatternCo
 
 def separation_sweep(
     setup: SlitSetup,
-    separations: np.ndarray | None = None,
     span_factor: float = 30.0,
     n_points: int = 41,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance metric over a log-spaced separation sweep around the bound.
 
-    Returns (separations, metrics); the default sweep covers
+    Returns (separations, metrics); the sweep covers
     [bound / span_factor, bound * span_factor].  Each point is
     `distinguishability` at the bound's blur, against one shared reference.
     """
     bound = transverse_uncertainty(setup.screen_distance)
-    if separations is None:
-        if span_factor <= 1.0 or n_points < 3:
-            raise DomainError("sweep needs span_factor > 1 and n_points >= 3")
-        separations = np.geomspace(bound / span_factor, bound * span_factor, n_points)
-    separations = np.asarray(separations, dtype=float)
+    if span_factor <= 1.0 or n_points < 3:
+        raise DomainError("sweep needs span_factor > 1 and n_points >= 3")
+    separations = np.geomspace(bound / span_factor, bound * span_factor, n_points)
     single = information_blurred_pattern(replace(setup, separation=0.0), bound)
     metrics = np.empty_like(separations)
     for i, d in enumerate(separations):
@@ -189,7 +186,7 @@ def threshold_crossing(
     Log-linear interpolation between the bracketing sweep points.  Raises
     DomainError when the sweep never reaches the threshold.
     """
-    seps, metrics = separation_sweep(setup, None, span_factor, n_points)
+    seps, metrics = separation_sweep(setup, span_factor, n_points)
     above = np.nonzero(metrics >= threshold)[0]
     if len(above) == 0:
         raise DomainError("sweep never crosses the distinguishability threshold")

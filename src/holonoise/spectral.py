@@ -14,13 +14,13 @@ of worker threads a block's chunks are shared among (see
 `_workers.ThreadMap`).  `welch_csd` is the one-block case.  The sums carry
 scipy.signal's one-sided density scaling (Welch 1967; Heinzel, Ruediger &
 Schilling 2002) with ``detrend="constant"``: a flat input returns its ASD^2
-level, and DC and Nyquist are not doubled.  Hann window and 50% overlap
-are the defaults, and the explicit segment count ``n_avg`` tells downstream
-detection statistics exactly how much averaging went in.  The window is
-``hann`` or ``boxcar``, both in closed form.  `check_segment_length` is the
-one place the segment length rule is decided, and `segment_step` the one
-place the segment step and the overlap range are; `ExperimentConfig` calls
-both.  Everything here is numpy.
+level, and DC and Nyquist are not doubled.  The window is always the
+periodic Hann window (`hann_window`), 50% overlap is the default, and the
+explicit segment count ``n_avg`` tells downstream detection statistics
+exactly how much averaging went in.  `check_segment_length` is the one
+place the segment length rule is decided, and `segment_step` the one place
+the segment step and the overlap range are; `ExperimentConfig` calls both.
+Everything here is numpy.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class SpectralEstimate:
     n_avg: int             # number of averaged segments
     segment_length: int
     overlap: float
-    window: str
     sample_rate: float     # Hz
 
 
@@ -108,15 +107,6 @@ def hann_window(length: int) -> np.ndarray:
     """Periodic Hann window, bit-identical to scipy's ``get_window("hann", length)``."""
     fac = np.linspace(-np.pi, np.pi, length + 1)
     return (0.5 + 0.5 * np.cos(fac))[:-1]
-
-
-def window_sequence(window: str, length: int) -> np.ndarray:
-    """The periodic (FFT-bin) ``hann`` or ``boxcar`` window of ``length`` samples."""
-    if window == "hann":
-        return hann_window(length)
-    if window == "boxcar":
-        return np.ones(length)
-    raise DomainError(f"unknown window {window!r}: expected 'hann' or 'boxcar'")
 
 
 def coherence_of(psd1: np.ndarray, psd2: np.ndarray, csd: np.ndarray) -> np.ndarray:
@@ -198,7 +188,6 @@ def welch_blocks(
     sample_rate: float,
     segment_length: int,
     overlap: float = 0.5,
-    window: str = "hann",
 ) -> SpectralEstimate:
     """One-pass Welch auto- and cross-spectra of a channel pair, from consecutive blocks.
 
@@ -214,14 +203,13 @@ def welch_blocks(
         Samples per segment, a power of two >= 64 (`check_segment_length`).
     overlap : float, optional
         Fractional segment overlap in [0, 0.75] (`segment_step`).
-    window : "hann" or "boxcar", optional
-        Periodic window applied to every segment after its mean is removed.
 
     Returns
     -------
     SpectralEstimate
         The bits `welch_csd` gives on the blocks put end to end.
 
+    Every segment has its mean removed and is multiplied by `hann_window`.
     Segments are counted from the first sample, and the samples of a
     segment not yet whole, fewer than ``segment_length``, are carried into
     the next block.  Each worker thread (see `_workers.ThreadMap`) sums one
@@ -231,7 +219,7 @@ def welch_blocks(
     """
     check_segment_length(segment_length)
     step = segment_step(segment_length, overlap)
-    win = window_sequence(window, segment_length)
+    win = hann_window(segment_length)
     n_freq = segment_length // 2 + 1
 
     n = done = 0  # samples seen, and segments summed, so far
@@ -274,6 +262,11 @@ def welch_blocks(
 
         for block in blocks:
             channels = [np.ascontiguousarray(ch, dtype=float) for ch in block]
+            if len(channels[0]) != len(channels[1]):
+                raise DomainError(
+                    f"block at sample {n} has channels of {len(channels[0])} and "
+                    f"{len(channels[1])} samples; a pair needs equal lengths"
+                )
             n += len(channels[0])
             # Segment ``done`` starts at carry[0].  The ``head`` segments that
             # start in the carry are cut from it joined to the block's first
@@ -318,7 +311,6 @@ def welch_blocks(
         n_avg=done,
         segment_length=segment_length,
         overlap=overlap,
-        window=window,
         sample_rate=sample_rate,
     )
 
@@ -327,7 +319,6 @@ def welch_csd(
     pair: TimeSeriesPair,
     segment_length: int,
     overlap: float = 0.5,
-    window: str = "hann",
 ) -> SpectralEstimate:
     """Welch auto- and cross-spectra of a channel pair, as `welch_blocks`.
 
@@ -336,7 +327,7 @@ def welch_csd(
     averaged spectra and clipped to [0, 1]; bins with zero PSD product get
     coherence 0.
     """
-    return welch_blocks([(pair.ch1, pair.ch2)], pair.sample_rate, segment_length, overlap, window)
+    return welch_blocks([(pair.ch1, pair.ch2)], pair.sample_rate, segment_length, overlap)
 
 
 def xcorr(pair: TimeSeriesPair, max_lag: float) -> XcorrEstimate:

@@ -58,6 +58,20 @@ def run_python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120)
 
 
+def unvouched_spectra(tmp_path, config_path):
+    """The spectra.csv of a simulate run, copied to where no manifest lists it.
+
+    `detect` checks the digest of a file its manifest lists before anything
+    else, so edits meant for the header and column checks go to this copy.
+    """
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path),
+                 "--output-dir", str(rundir)]) == 0
+    copy = tmp_path / "spectra.csv"
+    copy.write_bytes((rundir / "spectra.csv").read_bytes())
+    return copy
+
+
 def read_csv(path):
     meta = {}
     for line in path.read_text().splitlines():
@@ -279,7 +293,7 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
     assert "common pieces=0, increments=3 (Brownian-difference moving sum)" in manifest["prng"]
-    assert manifest["version"] == holonoise.__version__ == "0.7.0"
+    assert manifest["version"] == holonoise.__version__ == "0.8.0"
     assert manifest["numpy_version"] == np.__version__
     import hashlib
 
@@ -478,10 +492,7 @@ def test_detect_rejects_forged_n_avg(tmp_path, config_path):
     # n_avg sets the null variance: editing 63 to 6300 used to turn sigma
     # 0.63 into a 6.25-sigma "detection".  The header's n_samples,
     # segment_length and overlap fix n_avg, so the edit is refused.
-    rundir = tmp_path / "run"
-    assert main(["simulate", "--config", str(config_path),
-                 "--output-dir", str(rundir)]) == 0
-    spectra = rundir / "spectra.csv"
+    spectra = unvouched_spectra(tmp_path, config_path)
     text = spectra.read_text()
     assert "# n_samples = 32768\n" in text and "# n_avg = 63\n" in text
     spectra.write_text(text.replace("# n_avg = 63\n", "# n_avg = 6300\n"))
@@ -496,10 +507,7 @@ def test_detect_rejects_forged_n_avg(tmp_path, config_path):
 
 def test_detect_requires_n_samples(tmp_path, config_path):
     # A spectra file without the series length cannot vouch for its n_avg.
-    rundir = tmp_path / "run"
-    assert main(["simulate", "--config", str(config_path),
-                 "--output-dir", str(rundir)]) == 0
-    spectra = rundir / "spectra.csv"
+    spectra = unvouched_spectra(tmp_path, config_path)
     spectra.write_text(spectra.read_text().replace("# n_samples = 32768\n", ""))
     out = tmp_path / "detect.json"
     assert main(["detect", "--estimate", str(spectra), "--band", "0:1e6",
@@ -525,10 +533,7 @@ def test_detect_rejects_truncated_spectra(tmp_path, config_path):
 
 
 def test_detect_rejects_shifted_frequency_grid(tmp_path, config_path):
-    rundir = tmp_path / "run"
-    assert main(["simulate", "--config", str(config_path),
-                 "--output-dir", str(rundir)]) == 0
-    spectra = rundir / "spectra.csv"
+    spectra = unvouched_spectra(tmp_path, config_path)
     spectra.write_text(spectra.read_text().replace(
         "# sample_rate_hz = 50000000", "# sample_rate_hz = 50000001"))
     out = tmp_path / "detect.json"
@@ -538,19 +543,20 @@ def test_detect_rejects_shifted_frequency_grid(tmp_path, config_path):
 
 
 def test_detect_unknown_window_is_an_error(tmp_path, config_path):
-    rundir = tmp_path / "run"
-    assert main(["simulate", "--config", str(config_path),
-                 "--output-dir", str(rundir)]) == 0
-    spectra = rundir / "spectra.csv"
+    # The null variance is that of the Hann window, so a file naming any
+    # other is refused: an edit to boxcar used to move sigma with exit 0.
+    spectra = unvouched_spectra(tmp_path, config_path)
     text = spectra.read_text()
     assert "# window = hann\n" in text
-    spectra.write_text(text.replace("# window = hann\n", "# window = bogus\n"))
-    proc = run_python("-m", "holonoise.cli", "detect", "--estimate", str(spectra),
-                      "--band", "0:3.7e6")
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert "unknown window 'bogus'" in proc.stderr
+    for window in ("bogus", "boxcar"):
+        spectra.write_text(text.replace("# window = hann\n", f"# window = {window}\n"))
+        proc = run_python("-m", "holonoise.cli", "detect", "--estimate", str(spectra),
+                          "--band", "0:3.7e6")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert f"unknown window '{window}'" in proc.stderr
 
 
 @pytest.mark.parametrize("edits", [
@@ -561,10 +567,7 @@ def test_detect_unknown_window_is_an_error(tmp_path, config_path):
 def test_detect_rejects_out_of_range_segmenting(tmp_path, config_path, edits):
     # overlap = 1 leaves no step between segments; the null variance used to
     # loop over every one of the n_avg lags instead of failing.
-    rundir = tmp_path / "run"
-    assert main(["simulate", "--config", str(config_path),
-                 "--output-dir", str(rundir)]) == 0
-    spectra = rundir / "spectra.csv"
+    spectra = unvouched_spectra(tmp_path, config_path)
     text = spectra.read_text()
     for key, value in edits.items():
         text, count = re.subn(rf"^# {key} = .*$", f"# {key} = {value}", text, flags=re.M)
@@ -614,10 +617,7 @@ def halve_coherence(rows):
 def test_detect_rejects_inconsistent_columns(tmp_path, config_path, edit, reason):
     # Each edit used to exit 0: sigma 0.0 for the first, second and fourth,
     # and a "sigma_level": Infinity that is not JSON for the third.
-    rundir = tmp_path / "run"
-    assert main(["simulate", "--config", str(config_path),
-                 "--output-dir", str(rundir)]) == 0
-    spectra = rundir / "spectra.csv"
+    spectra = unvouched_spectra(tmp_path, config_path)
     lines = spectra.read_text().splitlines()
     head = [line for line in lines if line.startswith("#")]
     rows = [line.split(",") for line in lines[len(head):]]
@@ -634,8 +634,8 @@ def test_detect_rejects_inconsistent_columns(tmp_path, config_path, edit, reason
 
 
 def test_detect_refuses_a_file_edited_after_its_manifest(tmp_path, config_path):
-    # Every column check passes on an edited window, which moved sigma; the
-    # manifest beside the file still holds the digest simulate wrote.
+    # The manifest beside the file still holds the digest simulate wrote,
+    # and detect checks it before it reads the edited header.
     rundir = tmp_path / "run"
     assert main(["simulate", "--config", str(config_path),
                  "--output-dir", str(rundir)]) == 0

@@ -32,7 +32,7 @@ from holonoise.detection import (
     band_statistic_null_variance,
     integration_time,
 )
-from holonoise.spectral import segment_count, segment_step, window_sequence
+from holonoise.spectral import hann_window, segment_count, segment_step
 
 FS = 5e7
 
@@ -238,7 +238,7 @@ def test_null_variance_one_bin_hann_inflation():
     est = SpectralEstimate(
         freqs=freqs, psd1=flat, psd2=flat, csd=np.zeros(len(freqs), complex),
         coherence=np.zeros(len(freqs)), n_avg=n_avg, segment_length=length,
-        overlap=0.5, window="hann", sample_rate=FS,
+        overlap=0.5, sample_rate=FS,
     )
     naive = 3.0 * 3.0 / (2 * n_avg)
     ratio = band_statistic_null_variance(est, np.array([100])) / naive
@@ -256,22 +256,22 @@ def test_null_variance_rejects_zero_step():
     est = SpectralEstimate(
         freqs=freqs, psd1=flat, psd2=flat, csd=np.zeros(len(freqs), complex),
         coherence=flat, n_avg=10**9, segment_length=length,
-        overlap=1.0, window="hann", sample_rate=FS,
+        overlap=1.0, sample_rate=FS,
     )
     with pytest.raises(DomainError, match="no advance"):
         band_statistic_null_variance(est, np.array([100]))
 
 
-def frobenius_null_variance(n, length, overlap, window, idx, detrend):
+def frobenius_null_variance(n, length, overlap, idx, detrend):
     """||M||_F^2 for the band statistic x1^T M x2 of unit white channels at fs = 1.
 
-    M is built densely from the window, the mean removal, every segment and
-    the one-sided scaling, so its squared Frobenius norm is the statistic's
-    exact null variance.
+    M is built densely from the Hann window, the mean removal, every segment
+    and the one-sided scaling, so its squared Frobenius norm is the
+    statistic's exact null variance.
     """
     step = segment_step(length, overlap)
     n_avg = segment_count(n, length, overlap)
-    win = window_sequence(window, length)
+    win = hann_window(length)
     rows = np.exp(-2j * np.pi * np.outer(idx, np.arange(length)) / length) * win
     if detrend:
         rows = rows - rows.mean(axis=1, keepdims=True)
@@ -285,37 +285,36 @@ def frobenius_null_variance(n, length, overlap, window, idx, detrend):
 
 def test_null_variance_is_the_exact_bilinear_form_variance():
     # Unit white channels at fs = 1 have the flat one-sided PSD 2.  Every
-    # bin offset and the image term at k + k' count, so both windows agree
-    # with the dense form to rounding, at every overlap, with or without
-    # mean removal, on an 11-bin band and on the full band.
+    # bin offset and the image term at k + k' count, so the closed form
+    # agrees with the dense form to rounding, at every overlap, with or
+    # without mean removal, on an 11-bin band and on the full band.
     n, length = 1024, 128
     freqs = np.fft.rfftfreq(length, 1.0)
     flat = np.full(len(freqs), 2.0)
     cases = itertools.product(
-        ["hann", "boxcar"], [0.0, 0.25, 0.5, 0.75],
-        [(20 / length, 30 / length), (0.0, 0.5)], ["constant", False],
+        [0.0, 0.25, 0.5, 0.75], [(20 / length, 30 / length), (0.0, 0.5)], ["constant", False],
     )
-    for window, overlap, band, detrend in cases:
+    for overlap, band, detrend in cases:
         idx = band_indices(freqs, band)
-        exact, n_avg = frobenius_null_variance(n, length, overlap, window, idx, detrend)
+        exact, n_avg = frobenius_null_variance(n, length, overlap, idx, detrend)
         est = SpectralEstimate(
             freqs=freqs, psd1=flat, psd2=flat, csd=np.zeros(len(freqs), complex),
             coherence=np.zeros(len(freqs)), n_avg=n_avg, segment_length=length,
-            overlap=overlap, window=window, sample_rate=1.0,
+            overlap=overlap, sample_rate=1.0,
         )
         assert band_statistic_null_variance(est, idx) == pytest.approx(exact, rel=1e-12), (
-            window, overlap, band, detrend)
+            overlap, band, detrend)
 
 
-@pytest.mark.parametrize("window,overlap,band", [
-    ("hann", 0.5, (0.0, 1e6)),
-    ("hann", 0.75, (2e5, 3e5)),
-    ("boxcar", 0.0, (0.0, 1e6)),
-    ("hann", 0.5, (1e5, 1.5e5)),  # one bin
+@pytest.mark.parametrize("overlap,band", [
+    (0.5, (0.0, 1e6)),
+    (0.75, (2e5, 3e5)),
+    (0.0, (0.0, 1e6)),
+    (0.5, (1e5, 1.5e5)),  # one bin
 ])
-def test_sigma_is_the_statistic_over_the_null_deviation(window, overlap, band):
+def test_sigma_is_the_statistic_over_the_null_deviation(overlap, band):
     cfg = ExperimentConfig(shot_asd=2e-20, n_samples=2**15, seed=6, segment_length=1024)
-    est = welch_csd(synthesize_pair(cfg), 1024, overlap=overlap, window=window)
+    est = welch_csd(synthesize_pair(cfg), 1024, overlap=overlap)
     idx = band_indices(est.freqs, band)
     stat = float(np.mean(est.csd[idx].real))
     assert null_significance(est, band).sigma_level == stat / math.sqrt(
