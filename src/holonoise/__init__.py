@@ -7,7 +7,7 @@ common component through Welch cross-spectra with calibrated detection
 statistics.  See the README for the command-line interface.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .constants import CONSTANTS, PhysicalConstants, codata_constants
 from .detection import (

@@ -223,15 +223,19 @@ def _read_csv(path: Path) -> tuple[dict, np.ndarray]:
     return meta, data
 
 
-def _header_value(meta: dict, key: str, path: Path, kind=float, default=None):
-    """Header field ``key`` parsed as ``kind``; a malformed value is a DomainError."""
-    if key not in meta:
-        return default
-    try:
-        return kind(meta[key])
-    except ValueError as exc:
-        expected = "an integer" if kind is int else "a number"
-        raise DomainError(f"{path}: header {key} = {meta[key]!r} is not {expected}") from exc
+def _header(meta: dict, path: Path, kind: str, fields: dict) -> list:
+    """Header ``fields`` (name: type) of a ``kind`` file, each required and parsed, in order."""
+    missing = sorted(set(fields) - set(meta))
+    if missing:
+        raise DomainError(f"{kind} file {path} lacks header fields: {', '.join(missing)}")
+    values = []
+    for key, parse in fields.items():
+        try:
+            values.append(parse(meta[key]))
+        except ValueError as exc:
+            expected = "an integer" if parse is int else "a number"
+            raise DomainError(f"{path}: header {key} = {meta[key]!r} is not {expected}") from exc
+    return values
 
 
 def _resolve_outdir(flag_value: str | None) -> Path:
@@ -247,13 +251,14 @@ def _resolve_outdir(flag_value: str | None) -> Path:
 
 def load_config(path: Path) -> ExperimentConfig:
     """Parse a JSON config file; unknown fields and bad JSON are rejected."""
-    text = path.read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer too long, too deep
+        raise DomainError(f"malformed JSON in {path}: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
 
@@ -282,45 +287,34 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: dict[str, s
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+#: The header fields of a spectra file and their types, written in this order.
+SPECTRA_FIELDS = {"sample_rate_hz": float, "n_samples": int, "segment_length": int,
+                  "overlap": float, "window": str, "n_avg": int}
+
+
 def _write_spectra(path: Path | None, est: SpectralEstimate, n_samples: int) -> str:
     """Spectra of an ``n_samples`` series; the header fixes its ``n_avg``."""
     rows = np.column_stack(
         [est.freqs, est.psd1, est.psd2, est.csd.real, est.csd.imag, est.coherence]
     )
-    meta = {
-        "sample_rate_hz": est.sample_rate,
-        "n_samples": n_samples,
-        "segment_length": est.segment_length,
-        "overlap": est.overlap,
-        "window": "hann",
-        "n_avg": est.n_avg,
-    }
-    return _write_csv(
-        path,
-        meta,
-        ["freq_hz", "psd1_m2_per_hz", "psd2_m2_per_hz", "csd_re_m2_per_hz",
-         "csd_im_m2_per_hz", "coherence"],
-        rows,
-    )
+    values = (est.sample_rate, n_samples, est.segment_length, est.overlap, "hann", est.n_avg)
+    columns = ["freq_hz", "psd1_m2_per_hz", "psd2_m2_per_hz", "csd_re_m2_per_hz",
+               "csd_im_m2_per_hz", "coherence"]
+    return _write_csv(path, dict(zip(SPECTRA_FIELDS, values)), columns, rows)
 
 
-def _estimate_from_csv(path: Path) -> SpectralEstimate:
+def _read_spectra(path: Path) -> SpectralEstimate:
+    """The estimate in a spectra file, refused unless header and columns agree."""
     meta, data = _read_csv(path)
-    required = {"sample_rate_hz", "n_samples", "segment_length", "overlap", "window", "n_avg"}
-    missing = sorted(required - set(meta))
-    if missing:
-        raise DomainError(f"spectra file {path} lacks header fields: {', '.join(missing)}")
+    sample_rate, n_samples, segment_length, overlap, window, n_avg = _header(
+        meta, path, "spectra", SPECTRA_FIELDS
+    )
     # The null variance is computed for the Hann window, the only one Welch uses.
-    if meta["window"] != "hann":
-        raise DomainError(f"spectra file {path}: unknown window {meta['window']!r}; "
+    if window != "hann":
+        raise DomainError(f"spectra file {path}: unknown window {window!r}; "
                           "holonoise spectra are always 'hann'")
     if data.shape[1] != 6:
         raise DomainError(f"spectra file {path} must have 6 columns, found {data.shape[1]}")
-    n_avg = _header_value(meta, "n_avg", path, int)
-    n_samples = _header_value(meta, "n_samples", path, int)
-    segment_length = _header_value(meta, "segment_length", path, int)
-    overlap = _header_value(meta, "overlap", path)
-    sample_rate = _header_value(meta, "sample_rate_hz", path)
     # n_avg sets the null variance, so it must be the count the header's
     # segmenting gives, not a number the file merely states.
     expected = segment_count(n_samples, segment_length, overlap)
@@ -467,6 +461,26 @@ def cmd_slits(args) -> int:
 
 
 TIMESERIES_COLUMNS = ["time_s", "ch1_m", "ch2_m", "common_m"]
+#: The header fields of a timeseries file and their types, written in this order.
+TIMESERIES_FIELDS = {"sample_rate_hz": float, "segment_length": int, "overlap": float}
+
+
+def _read_timeseries(path: Path) -> tuple[TimeSeriesPair, int, float]:
+    """The pair in a ``simulate --dump-timeseries`` file, and its segment length and overlap."""
+    meta, data = _read_csv(path)
+    sample_rate, segment_length, overlap = _header(meta, path, "timeseries", TIMESERIES_FIELDS)
+    if data.shape[1] != 4:
+        raise DomainError(f"timeseries file {path} must have 4 columns, found {data.shape[1]}")
+    pair = TimeSeriesPair(sample_rate, data[:, 1], data[:, 2], data[:, 3])
+    # Every time must be its row's sample time, finite, so an edited row or
+    # rate is refused.  A slice at a time, so no copy of the column is held.
+    for i in range(0, len(data), CHUNK_ROWS):
+        with np.errstate(over="ignore"):
+            grid = np.arange(i, min(i + CHUNK_ROWS, len(data))) / sample_rate
+        times = data[i : i + CHUNK_ROWS, 0]
+        if not (np.isfinite(grid[-1]) and np.allclose(times, grid, rtol=1e-12, atol=0.0)):
+            raise DomainError(f"timeseries file {path}: time column is not arange(n) / rate")
+    return pair, segment_length, overlap
 
 
 def _dumped(blocks: Iterable[TimeSeriesPair], out: _Output) -> Iterator[TimeSeriesPair]:
@@ -497,12 +511,8 @@ def cmd_simulate(args) -> int:
     # while no synthesis or Welch thread is alive.
     with dump or contextlib.nullcontext():
         if dump is not None:
-            meta = {
-                "sample_rate_hz": config.sample_rate,
-                "segment_length": config.segment_length,
-                "overlap": config.overlap,
-            }
-            dump.write(_csv_header(meta, TIMESERIES_COLUMNS))
+            values = (config.sample_rate, config.segment_length, config.overlap)
+            dump.write(_csv_header(dict(zip(TIMESERIES_FIELDS, values)), TIMESERIES_COLUMNS))
             blocks = _dumped(blocks, dump)
         estimate = welch_blocks(
             ((block.ch1, block.ch2) for block in blocks),
@@ -536,33 +546,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    path = Path(args.timeseries)
-    meta, data = _read_csv(path)
-    if data.shape[1] not in (3, 4):
-        raise DomainError(
-            f"timeseries file must have columns time,ch1,ch2[,common]; found {data.shape[1]}"
-        )
-    if args.sample_rate is not None:
-        fs = args.sample_rate
-    elif "sample_rate_hz" in meta:
-        fs = _header_value(meta, "sample_rate_hz", path)
-    else:
-        step = float(data[1, 0] - data[0, 0]) if len(data) > 1 else 0.0
-        if not step > 0.0:
-            raise DomainError(
-                f"{path}: cannot infer the sample rate without a sample_rate_hz header "
-                "and two increasing time values; pass --sample-rate"
-            )
-        fs = 1.0 / step
-    # Without a flag or header, the segmenting is ExperimentConfig's default.
-    segment_length = args.segment_length or _header_value(
-        meta, "segment_length", path, int, ExperimentConfig.segment_length
-    )
-    overlap = args.overlap if args.overlap is not None else _header_value(
-        meta, "overlap", path, float, ExperimentConfig.overlap
-    )
-    common = data[:, 3] if data.shape[1] == 4 else np.zeros(len(data))
-    pair = TimeSeriesPair(sample_rate=fs, ch1=data[:, 1], ch2=data[:, 2], common=common)
+    pair, segment_length, overlap = _read_timeseries(Path(args.timeseries))
     estimate = welch_csd(pair, segment_length, overlap)
     _write_spectra(Path(args.output) if args.output else None, estimate, pair.n_samples)
     return 0
@@ -595,7 +579,7 @@ def _vouched(path: Path) -> tuple[str, bool]:
 def cmd_detect(args) -> int:
     path = Path(args.estimate)
     digest, vouched = _vouched(path)
-    estimate = _estimate_from_csv(path)
+    estimate = _read_spectra(path)
     report = null_significance(estimate, _parse_band(args.band))
     values = dict(_report_dict(report), input_sha256=digest, manifest_vouched=vouched)
     _write_text(Path(args.output) if args.output else None, json.dumps(values, indent=2) + "\n")
@@ -645,9 +629,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="Welch spectra from a time-series CSV")
     p.add_argument("--timeseries", required=True, help="CSV from simulate --dump-timeseries")
-    p.add_argument("--segment-length", type=int, default=None)
-    p.add_argument("--overlap", type=float, default=None)
-    p.add_argument("--sample-rate", type=float, default=None, help="Hz override")
     p.add_argument("--output", help="write to this file instead of stdout")
     p.set_defaults(func=cmd_analyze)
 

@@ -50,10 +50,11 @@ class HolographicModel:
         k = CONSTANTS
         sigma2 = L * k.c * k.t_P / math.sqrt(4.0 * math.pi)
         tau_c = 2.0 * L / k.c
-        if not all(math.isfinite(v) and v > 0.0 for v in (sigma2, tau_c)):
+        # 2 sigma2 tau_c is the PSD at 0 Hz, the largest value the model gives.
+        if not all(math.isfinite(v) and v > 0.0 for v in (sigma2, tau_c, 2.0 * sigma2 * tau_c)):
             raise DomainError(
-                f"arm length L = {L!r} m is out of range: tau_c = 2L/c = {tau_c!r} s "
-                f"and sigma2 = {sigma2!r} m^2 must be finite and positive"
+                f"arm length L = {L!r} m is out of range: tau_c = 2L/c = {tau_c!r} s, "
+                f"sigma2 = {sigma2!r} m^2 and 2 sigma2 tau_c must be finite and positive"
             )
         return cls(L=L, sigma2=sigma2, tau_c=tau_c)
 
@@ -139,6 +140,12 @@ def info_budget(L: float) -> InfoBudget:
     if L < lp:
         raise DomainError(f"region size {L!r} m is below the resolution floor {lp!r} m")
     dof = L / lp
+    try:
+        cube = dof**3
+    except OverflowError:
+        cube = math.inf
+    if not math.isfinite(cube):
+        raise DomainError(f"region size {L!r} m has more degrees of freedom than a float holds")
     return InfoBudget(
         L=L,
         pixel_size=math.sqrt(2.0 * math.pi * L * lp),
@@ -146,6 +153,6 @@ def info_budget(L: float) -> InfoBudget:
         dof_radial=dof,
         dof_angular=dof,
         total_info=dof**2,
-        field_theory_info=dof**3,
+        field_theory_info=cube,
         ratio=dof,
     )

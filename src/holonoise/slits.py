@@ -65,8 +65,10 @@ class SlitSetup:
             raise DomainError(
                 f"n_angles must lie in [64, {MAX_ANGLES}], got {self.n_angles!r}"
             )
+        blur = transverse_uncertainty(self.screen_distance)
+        if blur == 0.0:
+            raise DomainError(f"screen_distance {self.screen_distance!r} m gives a blur of 0")
         if self.angle_span is None:
-            blur = transverse_uncertainty(self.screen_distance)
             object.__setattr__(
                 self, "angle_span", min(2.4, 2.0 * self.wavelength / blur)
             )
@@ -90,8 +92,8 @@ class PatternComparison:
 
 def _normalize(intensity: np.ndarray) -> np.ndarray:
     total = intensity.sum()
-    if total <= 0.0:
-        raise DomainError("pattern has no power on the angle grid")
+    if not (math.isfinite(total) and total > 0.0):
+        raise DomainError("pattern has no finite, positive power on the angle grid")
     return intensity / total
 
 
@@ -119,10 +121,12 @@ def information_blurred_pattern(setup: SlitSetup, blur: float | None = None) -> 
         raise DomainError(f"blur must be >= 0, got {blur!r}")
     s = np.sin(setup.angles())
     lam = setup.wavelength
-    envelope = np.sinc(setup.slit_width * s / lam) ** 2
-    fringes = np.cos(np.pi * setup.separation * s / lam) ** 2
-    damping = np.exp(-((2.0 * np.pi * blur * s / lam) ** 2))
-    return _normalize(envelope * fringes * damping)
+    # A phase past the float range makes a NaN pattern, which _normalize refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.sinc(setup.slit_width * s / lam) ** 2
+        fringes = np.cos(np.pi * setup.separation * s / lam) ** 2
+        damping = np.exp(-((2.0 * np.pi * blur * s / lam) ** 2))
+        return _normalize(envelope * fringes * damping)
 
 
 def _pattern_distance(p: np.ndarray, q: np.ndarray) -> float:

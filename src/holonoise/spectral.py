@@ -327,6 +327,9 @@ def welch_csd(
     averaged spectra and clipped to [0, 1]; bins with zero PSD product get
     coherence 0.
     """
+    if segment_length > pair.n_samples:  # refused before the window is made that long
+        raise DomainError(f"series of length {pair.n_samples} is shorter than one segment "
+                          f"({segment_length})")
     return welch_blocks([(pair.ch1, pair.ch2)], pair.sample_rate, segment_length, overlap)
 
 

@@ -124,17 +124,17 @@ class ExperimentConfig:
         if unknown:
             raise DomainError(f"unknown config fields: {', '.join(unknown)}")
         kwargs = dict(raw)
-        for name in ("n_samples", "seed", "segment_length"):
-            if name in kwargs:
-                v = kwargs[name]
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise DomainError(f"config field {name} must be an integer, got {v!r}")
-        for name in ("arm_length", "shot_asd", "sample_rate", "holo_scale", "overlap"):
-            if name in kwargs:
-                v = kwargs[name]
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise DomainError(f"config field {name} must be a number, got {v!r}")
-                kwargs[name] = float(v)
+        # A field's kind is its default's: int takes JSON integers, float any number.
+        for f in fields(cls):
+            kind = type(f.default)
+            v = kwargs.setdefault(f.name, f.default)
+            expected = "an integer" if kind is int else "a number"
+            if isinstance(v, bool) or not isinstance(v, (int, kind)):
+                raise DomainError(f"config field {f.name} must be {expected}, got {v!r}")
+            try:
+                kwargs[f.name] = kind(v)
+            except OverflowError as exc:  # an integer past the float range
+                raise DomainError(f"config field {f.name} must be {expected}, got {v!r}") from exc
         return cls(**kwargs)
 
 

@@ -269,6 +269,25 @@ def test_slits_sweep(tmp_path):
     assert data[-1, 1] > 0.5 > data[0, 1]
 
 
+@pytest.mark.parametrize("argv,reason", [
+    # dof**3 overflowed and ended in an OverflowError traceback.
+    (["info", "--length", "1e100"], "more degrees of freedom than a float holds"),
+    # Every count was inf, printed as "Infinity", which is not JSON, with exit 0.
+    (["info", "--length", "1e300"], "more degrees of freedom than a float holds"),
+    # The blur underflowed to 0 and the default angle span divided by it.
+    (["slits", "--screen-distance", "1e-300"], "gives a blur of 0"),
+    # The fringe phase overflowed: NaN intensities and numpy warnings, exit 0.
+    (["slits", "--screen-distance", "1", "--separation", "1e300"],
+     "pattern has no finite, positive power"),
+])
+def test_model_commands_refuse_values_past_the_float_range(argv, reason, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert reason in err
+
+
 def test_slits_rejects_huge_angle_grid():
     proc = run_python("-m", "holonoise.cli", "slits", "--screen-distance", "1",
                       "--n-angles", "100000000000")
@@ -293,7 +312,7 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
     assert "common pieces=0, increments=3 (Brownian-difference moving sum)" in manifest["prng"]
-    assert manifest["version"] == holonoise.__version__ == "0.8.0"
+    assert manifest["version"] == holonoise.__version__ == "0.9.0"
     assert manifest["numpy_version"] == np.__version__
     import hashlib
 
@@ -393,6 +412,24 @@ def test_simulate_malformed_json(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("content,reason", [
+    (b"\xff{}", "can't decode byte 0xff"),
+    (b"[" * 100000, "maximum recursion depth"),
+    (b'{"seed": 1' + b"0" * 5000 + b"}", "Exceeds the limit"),
+    (b'{"arm_length": 1' + b"0" * 400 + b"}", "config field arm_length must be a number"),
+])
+def test_simulate_refuses_an_unreadable_config_in_one_line(tmp_path, capsys, content, reason):
+    # Each of these used to end in a traceback: UnicodeDecodeError,
+    # RecursionError, ValueError and OverflowError.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["simulate", "--config", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert reason in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_too_short_for_the_window_writes_nothing(tmp_path, capsys):
@@ -681,29 +718,88 @@ def test_detect_refuses_an_unreadable_manifest(tmp_path, config_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_analyze_without_segmenting_headers_uses_the_config_defaults(tmp_path):
-    # 16384 rows at ExperimentConfig's 8192-sample, 50%-overlap segments: 3.
+def test_analyze_without_segmenting_headers_is_refused(tmp_path):
+    # analyze takes its segmenting from the file alone; it used to fall back
+    # to ExperimentConfig's 8192-sample, 50%-overlap defaults here.
     rng = np.random.default_rng(3)
     rows = np.column_stack([np.arange(16384) / 5e7, rng.standard_normal((16384, 2))])
     series = tmp_path / "timeseries.csv"
     _write_csv(series, {"sample_rate_hz": 5e7}, ["time_s", "ch1_m", "ch2_m"], rows)
-    out = tmp_path / "spectra.csv"
-    assert main(["analyze", "--timeseries", str(series), "--output", str(out)]) == 0
-    meta, data = read_csv(out)
-    defaults = ExperimentConfig()
-    assert int(meta["segment_length"]) == defaults.segment_length
-    assert float(meta["overlap"]) == defaults.overlap
-    assert int(meta["n_avg"]) == 3
-    assert len(data) == defaults.segment_length // 2 + 1
+    proc = run_python("-m", "holonoise.cli", "analyze", "--timeseries", str(series))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: timeseries file {series} lacks header fields: overlap, segment_length\n"
+    )
 
 
-def test_analyze_one_row_without_sample_rate(tmp_path):
+def test_analyze_without_sample_rate_is_refused(tmp_path):
+    # The rate comes from the header, never from the time column.
     bad = tmp_path / "timeseries.csv"
     bad.write_text("# columns: time_s,ch1_m,ch2_m\n0,1e-15,2e-15\n")
     proc = run_python("-m", "holonoise.cli", "analyze", "--timeseries", str(bad))
     assert proc.returncode == 1
+    assert proc.stderr == (f"error: timeseries file {bad} lacks header fields: "
+                           "overlap, sample_rate_hz, segment_length\n")
+
+
+@pytest.fixture(scope="module")
+def dumped_series(tmp_path_factory):
+    """The timeseries.csv and spectra.csv of one small simulate --dump-timeseries run."""
+    rundir = tmp_path_factory.mktemp("dump")
+    config = rundir / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    assert main(["simulate", "--config", str(config), "--output-dir", str(rundir),
+                 "--dump-timeseries"]) == 0
+    return (rundir / "timeseries.csv").read_text(), (rundir / "spectra.csv").read_bytes()
+
+
+def edited_time(text):
+    """``text`` with the time of row 1000 scaled by 1.001."""
+    lines = text.splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1000
+    time, _, rest = lines[row].partition(",")
+    lines[row] = f"{float(time) * 1.001!r},{rest}"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (lambda text: text.replace("# overlap = 0.5\n", ""), "lacks header fields: overlap"),
+    (lambda text: text.replace("# sample_rate_hz = 50000000\n", ""),
+     "lacks header fields: sample_rate_hz"),
+    (lambda text: re.sub(r",[^,\n]*$", "", text, flags=re.M), "must have 4 columns, found 3"),
+    (edited_time, "time column is not arange(n) / rate"),
+])
+def test_analyze_refuses_a_dump_that_does_not_vouch_for_itself(tmp_path, dumped_series,
+                                                              edit, reason):
+    text, _ = dumped_series
+    bad = tmp_path / "timeseries.csv"
+    bad.write_text(edit(text))
+    assert bad.read_text() != text
+    proc = run_python("-m", "holonoise.cli", "analyze", "--timeseries", str(bad))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert "sample rate" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert reason in proc.stderr
+
+
+def test_analyze_reproduces_the_dumped_spectra(tmp_path, dumped_series):
+    text, spectra = dumped_series
+    series = tmp_path / "timeseries.csv"
+    series.write_text(text)
+    out = tmp_path / "spectra.csv"
+    assert main(["analyze", "--timeseries", str(series), "--output", str(out)]) == 0
+    assert out.read_bytes() == spectra
+
+
+def test_analyze_takes_only_its_file(capsys):
+    for flag in ("--sample-rate", "--segment-length", "--overlap"):
+        assert main(["analyze", "--timeseries", "x.csv", flag, "1"]) == 64
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    options = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, flags=re.M)
+    assert options == ["--help", "--timeseries", "--output"]
 
 
 def test_detect_rejects_bad_band(tmp_path, config_path):

@@ -70,8 +70,9 @@ def test_from_baseline_rejects_bad_lengths():
 
 
 def test_from_baseline_rejects_out_of_range_lengths():
-    # 2L overflows to inf above ~9e307; 2L/c underflows to 0 near 1e-320.
-    for bad in (1e308, 1e-320):
+    # 2L overflows to inf above ~9e307; 2L/c underflows to 0 near 1e-320;
+    # the PSD at 0 Hz, 2 sigma2 tau_c, overflows above ~1.7e175.
+    for bad in (1e308, 1e-320, 1e200):
         with pytest.raises(DomainError, match="arm length"):
             HolographicModel.from_baseline(bad)
 
@@ -275,6 +276,14 @@ def test_info_budget_one_meter_pixel():
     budget = info_budget(1.0)
     assert budget.pixel_size == pytest.approx(PIXEL_1, rel=1e-15)
     assert budget.pixel_size == pytest.approx(1.01e-17, rel=1e-3)
+
+
+def test_info_budget_refuses_counts_past_the_float_range():
+    # (L / l_P)^3 overflows near L = 9e67 m; above ~3e273 m L / l_P does too.
+    for bad in (1e68, 1e100, 1e300):
+        with pytest.raises(DomainError, match="more degrees of freedom than a float holds"):
+            info_budget(bad)
+    assert math.isfinite(info_budget(1e67).field_theory_info)
 
 
 def test_info_budget_structure():

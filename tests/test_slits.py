@@ -40,6 +40,17 @@ def gentle_setup(separation: float, L: float = 1.0, **kw) -> SlitSetup:
 # -------------------------------------------------------------------- geometry
 
 
+def test_setup_refuses_a_blur_that_underflows_to_zero():
+    with pytest.raises(DomainError, match="blur of 0"):
+        SlitSetup(separation=0.0, slit_width=1e-18, screen_distance=1e-300)
+
+
+def test_pattern_refuses_a_phase_past_the_float_range():
+    setup = SlitSetup(separation=1e300, slit_width=CONSTANTS.l_P, screen_distance=1.0)
+    with pytest.raises(DomainError, match="no finite, positive power"):
+        information_blurred_pattern(setup)
+
+
 def test_setup_defaults():
     s = SlitSetup(separation=0.0, slit_width=1e-18, screen_distance=1.0)
     assert s.wavelength == CONSTANTS.l_P

@@ -99,6 +99,9 @@ def test_invalid_segmenting():
         welch_csd(pair, 32)  # too short a segment
     with pytest.raises(DomainError):
         welch_csd(pair, 1024)  # series shorter than one segment
+    # Refused before a window of 2^40 samples is allocated.
+    with pytest.raises(DomainError, match="shorter than one segment"):
+        welch_csd(pair, 2**40)
     with pytest.raises(DomainError):
         welch_csd(pair, 256, overlap=0.9)
 

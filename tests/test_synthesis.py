@@ -165,6 +165,9 @@ def test_config_from_dict_rejects_bad_types():
         ExperimentConfig.from_dict({"arm_length": "40"})
     with pytest.raises(DomainError):
         ExperimentConfig.from_dict([40.0])
+    # An integer past the float range, for a float field.
+    with pytest.raises(DomainError, match="arm_length must be a number"):
+        ExperimentConfig.from_dict({"arm_length": 10**400})
 
 
 # ----------------------------------------------------------------- generators
