@@ -3,11 +3,11 @@
 One policy serves every parallel stage: the worker count is the size of
 the process's CPU affinity mask (``os.sched_getaffinity``), so ``taskset``
 is the only control, and with one CPU nothing is started at all.
-`ProcessMap` and `pmap` fork processes, for pure-Python work such as CSV
-formatting and parsing; `ThreadMap` runs threads, for numpy work that
-releases the GIL.  All return results in item order, so a caller that
-combines them in that order gets the same bits on any CPU count.  Their
-pool modules are imported only when a pool is started.
+`ProcessMap` forks processes, for pure-Python work such as CSV formatting
+and parsing; `ThreadMap` runs threads, for numpy work that releases the
+GIL.  Both return results in item order, so a caller that combines them in
+that order gets the same bits on any CPU count.  Their pool modules are
+imported only when a pool is started.
 """
 
 from __future__ import annotations
@@ -79,15 +79,6 @@ class ProcessMap:
         """The results still due, in put order."""
         while self.pending:
             yield self.pending.popleft().get()
-
-
-def pmap(func, items: list) -> Iterator:
-    """``map(func, items)`` in order, spread over the CPUs this process may use
-    (see `ProcessMap`)."""
-    with ProcessMap(func, len(items)) as pool:
-        for item in items:
-            yield from pool.put(item)
-        yield from pool.drain()
 
 
 def thread_count(items: int, work: int) -> int:

@@ -13,9 +13,10 @@ into byte ranges of about ``RANGE_BYTES`` at line boundaries.  Blocks and
 ranges are formatted or parsed across the CPUs the process may use, and
 the bytes do not depend on how many there are.  ``simulate`` takes the
 pair from synthesis to Welch block by block, and with ``--dump-timeseries``
-writes each block's rows as it goes, so its memory does not grow with
-n_samples.  It drops a manifest recording the config, constants, package
-and numpy versions, PRNG identity, and SHA-256 of every output; ``detect``
+writes each block's rows as it goes; ``analyze`` takes it from the file to
+Welch a byte range at a time.  So the memory of neither grows with
+n_samples.  ``simulate`` drops a manifest recording the config, constants,
+package and numpy versions, PRNG identity, and SHA-256 of every output; ``detect``
 refuses a spectra file whose digest differs from the one a manifest beside
 it records.  The default output directory can be overridden with the
 ``HOLONOISE_OUTPUT_DIR`` environment variable (an explicit ``--output-dir``
@@ -40,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._workers import ProcessMap, pmap
+from ._workers import ProcessMap
 from .constants import CONSTANTS
 from .detection import null_significance, predicted_snr
 from .errors import DomainError
@@ -52,7 +53,7 @@ from .model import (
     transverse_uncertainty,
 )
 from .slits import SlitSetup, fraunhofer_pattern, information_blurred_pattern, separation_sweep
-from .spectral import SpectralEstimate, coherence_of, segment_count, welch_blocks, welch_csd
+from .spectral import SpectralEstimate, coherence_of, segment_count, welch_blocks
 from .synthesis import ExperimentConfig, TimeSeriesPair, synthesize_blocks
 
 PRNG_IDENTIFIER = (
@@ -183,44 +184,92 @@ def _parse_range(task: tuple[int, int, int]) -> np.ndarray:
     fd, start, stop = task
     chunk = os.pread(fd, stop - start, start)
     with warnings.catch_warnings():
-        # A range without data rows parses to an empty part; _read_csv
-        # reports a file that has none at all.
+        # A range without data rows parses to an empty part, which
+        # _Input.parts skips.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(io.BytesIO(chunk), delimiter=",", comments="#", ndmin=2)
 
 
-def _read_csv(path: Path) -> tuple[dict, np.ndarray]:
-    """The ``key = value`` header comments and the data rows of a CSV, in one open."""
-    meta: dict[str, str] = {}
-    try:
-        with path.open("rb") as handle:
+class _Input:
+    """A CSV file being read: its ``key = value`` header comments, then its data rows.
+
+    Entering the ``with`` block reads the header into ``meta`` and cuts the
+    ``data_bytes`` that follow it into byte ranges of about RANGE_BYTES at
+    line boundaries.  `parts` hands the ranges' rows back one range at a
+    time, in file order, parsed on forked workers (see `ProcessMap`), so a
+    caller that consumes them as they come never holds the whole file.  The
+    workers are forked on entering the ``with`` block, before the caller
+    starts any thread.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.meta: dict[str, str] = {}
+        self.rows = 0
+
+    def __enter__(self) -> "_Input":
+        self.handle = self.path.open("rb")
+        try:
             start = 0
-            for line in handle:
+            for line in self.handle:
                 if not line.startswith(b"#"):
                     break
                 start += len(line)
-                body = line[1:].decode().strip()
+                try:
+                    body = line[1:].decode().strip()
+                except ValueError as exc:
+                    raise DomainError(f"malformed CSV {self.path}: {exc}") from exc
                 if "=" in body:
                     key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-            size = os.fstat(handle.fileno()).st_size
+                    self.meta[key.strip()] = val.strip()
+            size = os.fstat(self.handle.fileno()).st_size
+            # Said before any header field is checked: the file is all header.
+            if size == start:
+                raise DomainError(f"{self.path} has no data rows")
+            self.data_bytes = size - start
             # Cut the data at the first newline after every RANGE_BYTES, so
             # each range holds whole lines.
             cuts = [start]
             while cuts[-1] + RANGE_BYTES < size:
-                handle.seek(cuts[-1] + RANGE_BYTES)
-                handle.readline()
-                cuts.append(handle.tell())
+                self.handle.seek(cuts[-1] + RANGE_BYTES)
+                self.handle.readline()
+                cuts.append(self.handle.tell())
             cuts.append(size)
-            ranges = [(handle.fileno(), a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-            parts = list(pmap(_parse_range, ranges or [(handle.fileno(), start, size)]))
-        # A range of comment lines alone parses to an empty part.
-        data = np.concatenate([part for part in parts if len(part)] or parts)
-    except ValueError as exc:
-        raise DomainError(f"malformed CSV {path}: {exc}") from exc
-    if not len(data):
-        raise DomainError(f"{path} has no data rows")
-    return meta, data
+            self.ranges = [(self.handle.fileno(), a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+            self.parser = ProcessMap(_parse_range, len(self.ranges))
+            self.parser.__enter__()
+        except BaseException:
+            self.handle.close()
+            raise
+        return self
+
+    def __exit__(self, *exc) -> None:
+        try:
+            self.parser.__exit__(*exc)
+        finally:
+            self.handle.close()
+
+    def parts(self) -> Iterator[np.ndarray]:
+        """The data rows as 2-D arrays, one per range that holds any, in file order.
+
+        While the caller holds a part, ``rows`` counts the rows before it;
+        once every part has been taken, it counts them all.
+        """
+
+        def parsed():
+            for task in self.ranges:
+                yield from self.parser.put(task)
+            yield from self.parser.drain()
+
+        try:
+            for part in parsed():
+                if len(part):  # a range of comment lines alone parses to no rows
+                    yield part
+                    self.rows += len(part)
+        except ValueError as exc:
+            raise DomainError(f"malformed CSV {self.path}: {exc}") from exc
+        if not self.rows:
+            raise DomainError(f"{self.path} has no data rows")
 
 
 def _header(meta: dict, path: Path, kind: str, fields: dict) -> list:
@@ -305,16 +354,19 @@ def _write_spectra(path: Path | None, est: SpectralEstimate, n_samples: int) -> 
 
 def _read_spectra(path: Path) -> SpectralEstimate:
     """The estimate in a spectra file, refused unless header and columns agree."""
-    meta, data = _read_csv(path)
+    with _Input(path) as csv:
+        parts = list(csv.parts())
     sample_rate, n_samples, segment_length, overlap, window, n_avg = _header(
-        meta, path, "spectra", SPECTRA_FIELDS
+        csv.meta, path, "spectra", SPECTRA_FIELDS
     )
     # The null variance is computed for the Hann window, the only one Welch uses.
     if window != "hann":
         raise DomainError(f"spectra file {path}: unknown window {window!r}; "
                           "holonoise spectra are always 'hann'")
-    if data.shape[1] != 6:
-        raise DomainError(f"spectra file {path} must have 6 columns, found {data.shape[1]}")
+    for part in parts:
+        if part.shape[1] != 6:
+            raise DomainError(f"spectra file {path} must have 6 columns, found {part.shape[1]}")
+    data = np.concatenate(parts)
     # n_avg sets the null variance, so it must be the count the header's
     # segmenting gives, not a number the file merely states.
     expected = segment_count(n_samples, segment_length, overlap)
@@ -465,22 +517,40 @@ TIMESERIES_COLUMNS = ["time_s", "ch1_m", "ch2_m", "common_m"]
 TIMESERIES_FIELDS = {"sample_rate_hz": float, "segment_length": int, "overlap": float}
 
 
-def _read_timeseries(path: Path) -> tuple[TimeSeriesPair, int, float]:
-    """The pair in a ``simulate --dump-timeseries`` file, and its segment length and overlap."""
-    meta, data = _read_csv(path)
-    sample_rate, segment_length, overlap = _header(meta, path, "timeseries", TIMESERIES_FIELDS)
-    if data.shape[1] != 4:
-        raise DomainError(f"timeseries file {path} must have 4 columns, found {data.shape[1]}")
-    pair = TimeSeriesPair(sample_rate, data[:, 1], data[:, 2], data[:, 3])
-    # Every time must be its row's sample time, finite, so an edited row or
-    # rate is refused.  A slice at a time, so no copy of the column is held.
-    for i in range(0, len(data), CHUNK_ROWS):
-        with np.errstate(over="ignore"):
-            grid = np.arange(i, min(i + CHUNK_ROWS, len(data))) / sample_rate
-        times = data[i : i + CHUNK_ROWS, 0]
-        if not (np.isfinite(grid[-1]) and np.allclose(times, grid, rtol=1e-12, atol=0.0)):
-            raise DomainError(f"timeseries file {path}: time column is not arange(n) / rate")
-    return pair, segment_length, overlap
+def _read_timeseries(series: _Input) -> tuple[Iterator, float, int, float]:
+    """The (ch1, ch2) blocks of a ``simulate --dump-timeseries`` file being read,
+    and its sample rate, segment length and overlap.
+
+    The header is checked at once; each block's columns, samples and times
+    as its byte range is parsed.
+    """
+    path = series.path
+    sample_rate, segment_length, overlap = _header(series.meta, path, "timeseries",
+                                                   TIMESERIES_FIELDS)
+    # A data row takes at least 8 bytes, "0,0,0,0\n" (7 for a last row without
+    # its newline), so a segment this file cannot hold is refused before a
+    # window that long is made.
+    most = (series.data_bytes + 1) // 8
+    if segment_length > most:
+        raise DomainError(f"timeseries file {path} is shorter than one segment ({segment_length}): "
+                          f"its {series.data_bytes} data bytes hold at most {most} rows")
+
+    def blocks():
+        for part in series.parts():
+            if part.shape[1] != 4:
+                raise DomainError(f"timeseries file {path} must have 4 columns, "
+                                  f"found {part.shape[1]}")
+            pair = TimeSeriesPair(sample_rate, part[:, 1], part[:, 2], part[:, 3])
+            # Every time must be its row's sample time, finite, so an edited
+            # row or rate is refused.
+            with np.errstate(over="ignore"):
+                grid = np.arange(series.rows, series.rows + len(part)) / sample_rate
+            if not (np.isfinite(grid[-1])
+                    and np.allclose(part[:, 0], grid, rtol=1e-12, atol=0.0)):
+                raise DomainError(f"timeseries file {path}: time column is not arange(n) / rate")
+            yield pair.ch1, pair.ch2
+
+    return blocks(), sample_rate, segment_length, overlap
 
 
 def _dumped(blocks: Iterable[TimeSeriesPair], out: _Output) -> Iterator[TimeSeriesPair]:
@@ -546,9 +616,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    pair, segment_length, overlap = _read_timeseries(Path(args.timeseries))
-    estimate = welch_csd(pair, segment_length, overlap)
-    _write_spectra(Path(args.output) if args.output else None, estimate, pair.n_samples)
+    # Entered before welch_blocks starts its threads, so the CSV workers are
+    # forked while none is alive.
+    with _Input(Path(args.timeseries)) as series:
+        estimate = welch_blocks(*_read_timeseries(series))
+    _write_spectra(Path(args.output) if args.output else None, estimate, series.rows)
     return 0
 
 

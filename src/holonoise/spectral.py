@@ -157,30 +157,34 @@ def _chunk_sums(segments, base, win, first, stop, work, power, cross):
     length = len(win)
     n_freq = length // 2 + 1
     row0 = base // SEGMENT_CHUNK
-    for lo in range(first, stop, len(terms) - 1):
-        k = min(len(terms) - 1, stop - lo)
-        # Batch rows a to b - 1 are chunk i's segments lo + a to lo + b - 1.
-        pieces = [
-            (i - row0, max(lo, i * SEGMENT_CHUNK) - lo,
-             min(lo + k, (i + 1) * SEGMENT_CHUNK) - lo)
-            for i in range(lo // SEGMENT_CHUNK, -(-(lo + k) // SEGMENT_CHUNK))
-        ]
-        for seg, spectrum, total in zip(segments, spectra, power):
-            chunk = seg[lo - base : lo - base + k]
-            x = scratch[: k * length].reshape(k, length)
-            np.subtract(chunk, chunk.mean(axis=-1, keepdims=True), out=x)
-            x *= win
-            spec = np.fft.rfft(x, out=spectrum[:k])
-            im2 = np.square(spec.imag, out=scratch[: k * n_freq].reshape(k, n_freq))
-            re2 = np.square(spec.real, out=terms[1 : k + 1])
-            re2 += im2
+    # Samples too large to square give sums that welch_blocks refuses.  The
+    # error state belongs to the thread that sets it, so it is set here, on
+    # whichever thread sums these chunks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(first, stop, len(terms) - 1):
+            k = min(len(terms) - 1, stop - lo)
+            # Batch rows a to b - 1 are chunk i's segments lo + a to lo + b - 1.
+            pieces = [
+                (i - row0, max(lo, i * SEGMENT_CHUNK) - lo,
+                 min(lo + k, (i + 1) * SEGMENT_CHUNK) - lo)
+                for i in range(lo // SEGMENT_CHUNK, -(-(lo + k) // SEGMENT_CHUNK))
+            ]
+            for seg, spectrum, total in zip(segments, spectra, power):
+                chunk = seg[lo - base : lo - base + k]
+                x = scratch[: k * length].reshape(k, length)
+                np.subtract(chunk, chunk.mean(axis=-1, keepdims=True), out=x)
+                x *= win
+                spec = np.fft.rfft(x, out=spectrum[:k])
+                im2 = np.square(spec.imag, out=scratch[: k * n_freq].reshape(k, n_freq))
+                re2 = np.square(spec.real, out=terms[1 : k + 1])
+                re2 += im2
+                for i, a, b in pieces:
+                    _sum_rows(terms, a, b, (lo + a) % SEGMENT_CHUNK > 0, total[i])
+            prod = scratch[: 2 * (k + 1) * n_freq].view(complex).reshape(k + 1, n_freq)
+            np.conjugate(spectra[0][:k], out=prod[1:])
+            prod[1:] *= spectra[1][:k]
             for i, a, b in pieces:
-                _sum_rows(terms, a, b, (lo + a) % SEGMENT_CHUNK > 0, total[i])
-        prod = scratch[: 2 * (k + 1) * n_freq].view(complex).reshape(k + 1, n_freq)
-        np.conjugate(spectra[0][:k], out=prod[1:])
-        prod[1:] *= spectra[1][:k]
-        for i, a, b in pieces:
-            _sum_rows(prod, a, b, (lo + a) % SEGMENT_CHUNK > 0, cross[i])
+                _sum_rows(prod, a, b, (lo + a) % SEGMENT_CHUNK > 0, cross[i])
 
 
 def welch_blocks(
@@ -227,7 +231,7 @@ def welch_blocks(
     totals, csd = np.zeros((2, n_freq)), np.zeros(n_freq, dtype=complex)
     open_chunk = None
     work: list = []
-    with ThreadMap() as threads:
+    with ThreadMap() as threads, np.errstate(over="ignore", invalid="ignore"):
 
         def accumulate(segments, first, stop):
             """Sum segments ``first`` to ``stop``, which ``segments`` holds from
@@ -288,20 +292,24 @@ def welch_blocks(
                 carry = [np.concatenate((old[whole * step :], ch))
                          for old, ch in zip(carry, channels)]
             done += whole
-    if not done:
-        raise DomainError(
-            f"series of length {n} is shorter than one segment ({segment_length})"
-        )
-    if open_chunk is not None:
-        totals += open_chunk[0]
-        csd += open_chunk[1]
-
-    # One-sided density: every bin but DC and Nyquist carries both signs.
-    scale = np.full(n_freq, 2.0 / (sample_rate * float(np.dot(win, win)) * done))
-    scale[0] /= 2.0
-    scale[-1] /= 2.0
-    psd1, psd2 = totals * scale
-    csd *= scale
+        if not done:
+            raise DomainError(
+                f"series of length {n} is shorter than one segment ({segment_length})"
+            )
+        if open_chunk is not None:
+            totals += open_chunk[0]
+            csd += open_chunk[1]
+        # One-sided density: every bin but DC and Nyquist carries both signs.
+        scale = np.full(n_freq, 2.0 / (sample_rate * float(np.dot(win, win)) * done))
+        scale[0] /= 2.0
+        scale[-1] /= 2.0
+        psd1, psd2 = totals * scale
+        csd *= scale
+        # The products coherence_of takes overflow when a sample is not
+        # finite or too large to square.
+        if not (np.isfinite(psd1 * psd2).all() and np.isfinite(np.abs(csd) ** 2).all()):
+            raise DomainError("the spectra of this series are not finite: it holds a "
+                              "sample that is not finite or too large to square")
     return SpectralEstimate(
         freqs=np.fft.rfftfreq(segment_length, 1.0 / sample_rate),
         psd1=psd1,

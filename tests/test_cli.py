@@ -5,7 +5,8 @@ outputs are asserted directly, except the checks that need a fresh
 interpreter (no traceback on stderr, what ``import holonoise.cli`` loads);
 one smoke test exercises the installed console script if present.  Simulation configs are kept small (2^15
 samples); the CSV block and byte-range tests share one 3-block, ~19 MB table,
-so the whole module stays around ten seconds.
+and the streamed ``analyze`` tests two dumps of 2^18 and 2^20 samples
+(~24 and ~94 MB), so the whole module stays around half a minute.
 """
 
 import hashlib
@@ -28,7 +29,7 @@ from holonoise.cli import (
     ENV_OUTPUT_DIR,
     PRNG_IDENTIFIER,
     RANGE_BYTES,
-    _read_csv,
+    _Input,
     _write_csv,
     load_config,
     main,
@@ -168,14 +169,31 @@ def test_read_csv_multi_range_is_bit_exact(tmp_path, block_rows, cpus):
     assert len(expected) > 2 * RANGE_BYTES
     path = tmp_path / "blocks.csv"
     path.write_bytes(expected)
-    meta, data = _read_csv(path)
-    assert meta == {"sample_rate_hz": "50000000"}
-    assert data.shape == rows.shape
-    assert data.tobytes() == rows.tobytes()
+    with _Input(path) as csv:
+        parts = list(csv.parts())
+    assert csv.meta == {"sample_rate_hz": "50000000"}
+    assert len(parts) > 2
+    assert csv.rows == len(rows)
+    assert np.concatenate(parts).tobytes() == rows.tobytes()
 
 
-def test_analyze_bad_value_in_last_range(tmp_path, block_rows):
-    _, expected = block_rows
+@pytest.fixture(scope="module")
+def long_dumps(tmp_path_factory):
+    """The timeseries.csv of simulate --dump-timeseries runs of 2^18 and 2^20 samples."""
+    paths = {}
+    for n in (2**18, 2**20):
+        rundir = tmp_path_factory.mktemp(f"dump{n}")
+        config = rundir / "config.json"
+        config.write_text(json.dumps(dict(SMALL_CONFIG, n_samples=n)))
+        assert main(["simulate", "--config", str(config), "--output-dir", str(rundir),
+                     "--dump-timeseries"]) == 0
+        paths[n] = rundir / "timeseries.csv"
+    return paths
+
+
+def test_analyze_bad_value_in_last_range(tmp_path, long_dumps):
+    expected = long_dumps[2**18].read_bytes()
+    assert len(expected) > 2 * RANGE_BYTES
     bad = tmp_path / "timeseries.csv"
     bad.write_bytes(expected[: expected.rindex(b",")] + b",zz\n")
     proc = run_python("-m", "holonoise.cli", "analyze", "--timeseries", str(bad))
@@ -388,6 +406,18 @@ def test_simulate_memory_does_not_grow_with_n(tmp_path):
                                   "--output-dir", str(tmp_path / f"run{n}")],
                                  tmp_path / "stderr.txt"))
     assert abs(peaks[1] - peaks[0]) <= 10.0, peaks
+
+
+def test_analyze_memory_does_not_grow_with_n(tmp_path, long_dumps):
+    # The file is parsed a byte range at a time and each range's rows go
+    # straight into the Welch pass, so four times the samples (2^18 -> 2^20)
+    # may not cost more than 15 MB more; holding the series whole cost ~51 MB
+    # more.
+    peaks = [peak_rss_mb(["analyze", "--timeseries", str(path),
+                          "--output", str(tmp_path / f"spectra{n}.csv")],
+                         tmp_path / "stderr.txt")
+             for n, path in sorted(long_dumps.items())]
+    assert abs(peaks[1] - peaks[0]) <= 15.0, peaks
 
 
 def test_simulate_env_var_output_dir(tmp_path, config_path, monkeypatch):
@@ -769,6 +799,8 @@ def edited_time(text):
      "lacks header fields: sample_rate_hz"),
     (lambda text: re.sub(r",[^,\n]*$", "", text, flags=re.M), "must have 4 columns, found 3"),
     (edited_time, "time column is not arange(n) / rate"),
+    (lambda text: text.replace("# segment_length = 1024\n", "# segment_length = 1099511627776\n"),
+     "shorter than one segment (1099511627776)"),
 ])
 def test_analyze_refuses_a_dump_that_does_not_vouch_for_itself(tmp_path, dumped_series,
                                                               edit, reason):
@@ -782,6 +814,25 @@ def test_analyze_refuses_a_dump_that_does_not_vouch_for_itself(tmp_path, dumped_
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert reason in proc.stderr
+
+
+def test_analyze_refuses_a_sample_too_large_to_square(tmp_path, dumped_series):
+    # 1e200 is finite, but its square is not: the spectra used to come out
+    # as 513 rows of nan, after four RuntimeWarnings, with exit 0.
+    text, _ = dumped_series
+    lines = text.splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1000
+    time, _, rest = lines[row].partition(",")
+    lines[row] = f"{time},1e200,{rest.partition(',')[2]}"
+    bad = tmp_path / "timeseries.csv"
+    bad.write_text("".join(lines))
+    out = tmp_path / "spectra.csv"
+    proc = run_python("-m", "holonoise.cli", "analyze", "--timeseries", str(bad),
+                      "--output", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: the spectra of this series are not finite: it holds a "
+                           "sample that is not finite or too large to square\n")
+    assert not out.exists()
 
 
 def test_analyze_reproduces_the_dumped_spectra(tmp_path, dumped_series):
