@@ -16,9 +16,9 @@ pair from synthesis to Welch block by block, and with ``--dump-timeseries``
 writes each block's rows as it goes; ``analyze`` takes it from the file to
 Welch a byte range at a time.  So the memory of neither grows with
 n_samples.  ``simulate`` drops a manifest recording the config, constants,
-package and numpy versions, PRNG identity, and SHA-256 of every output; ``detect``
-refuses a spectra file whose digest differs from the one a manifest beside
-it records.  The default output directory can be overridden with the
+package and numpy versions, PRNG identity, and SHA-256 of every output;
+``detect`` refuses a spectra file whose digest differs from the one a
+manifest beside it records.  The default output directory can be overridden with the
 ``HOLONOISE_OUTPUT_DIR`` environment variable (an explicit ``--output-dir``
 still wins).
 """
@@ -236,8 +236,7 @@ class _Input:
                 cuts.append(self.handle.tell())
             cuts.append(size)
             self.ranges = [(self.handle.fileno(), a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-            self.parser = ProcessMap(_parse_range, len(self.ranges))
-            self.parser.__enter__()
+            self.parser = ProcessMap(_parse_range, len(self.ranges)).__enter__()
         except BaseException:
             self.handle.close()
             raise
@@ -532,8 +531,9 @@ def _read_timeseries(series: _Input) -> tuple[Iterator, float, int, float]:
     # window that long is made.
     most = (series.data_bytes + 1) // 8
     if segment_length > most:
-        raise DomainError(f"timeseries file {path} is shorter than one segment ({segment_length}): "
-                          f"its {series.data_bytes} data bytes hold at most {most} rows")
+        raise DomainError(f"timeseries file {path} is shorter than one segment "
+                          f"({segment_length}): its {series.data_bytes} data bytes hold "
+                          f"at most {most} rows")
 
     def blocks():
         for part in series.parts():

@@ -219,7 +219,9 @@ def welch_blocks(
     the next block.  Each worker thread (see `_workers.ThreadMap`) sums one
     contiguous group of a block's chunks, and every chunk sum joins the
     running total in chunk order as the chunk completes, so the result is
-    the same bits on any CPU count and for any cut into blocks.
+    the same bits on any CPU count and for any cut into blocks.  Spectra
+    that are not finite, from a sample that is not or whose square is not,
+    are refused.
     """
     check_segment_length(segment_length)
     step = segment_step(segment_length, overlap)

@@ -411,8 +411,8 @@ def test_simulate_memory_does_not_grow_with_n(tmp_path):
 def test_analyze_memory_does_not_grow_with_n(tmp_path, long_dumps):
     # The file is parsed a byte range at a time and each range's rows go
     # straight into the Welch pass, so four times the samples (2^18 -> 2^20)
-    # may not cost more than 15 MB more; holding the series whole cost ~51 MB
-    # more.
+    # may not cost more than 15 MB more; a reader holding the series whole
+    # needs ~50 MB more.
     peaks = [peak_rss_mb(["analyze", "--timeseries", str(path),
                           "--output", str(tmp_path / f"spectra{n}.csv")],
                          tmp_path / "stderr.txt")
@@ -817,8 +817,8 @@ def test_analyze_refuses_a_dump_that_does_not_vouch_for_itself(tmp_path, dumped_
 
 
 def test_analyze_refuses_a_sample_too_large_to_square(tmp_path, dumped_series):
-    # 1e200 is finite, but its square is not: the spectra used to come out
-    # as 513 rows of nan, after four RuntimeWarnings, with exit 0.
+    # 1e200 passes the finite check, but its square overflows, so the
+    # spectra would be nan; they are refused without a RuntimeWarning.
     text, _ = dumped_series
     lines = text.splitlines(keepends=True)
     row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1000
