@@ -7,7 +7,7 @@ common component through Welch cross-spectra with calibrated detection
 statistics.  See the README for the command-line interface.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .constants import CONSTANTS, PhysicalConstants, codata_constants
 from .detection import (
@@ -42,13 +42,12 @@ from .slits import (
     separation_sweep,
     threshold_crossing,
 )
-from .spectral import SpectralEstimate, XcorrEstimate, welch_csd, xcorr
+from .spectral import SpectralEstimate, welch_csd
 from .synthesis import (
     ExperimentConfig,
     TimeSeriesPair,
     synthesize_common,
     synthesize_pair,
-    white_noise,
 )
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "SpectralEstimate",
     "TimeSeriesPair",
     "UnreachableTargetError",
-    "XcorrEstimate",
     "angular_uncertainty",
     "angular_variance",
     "autocorrelation",
@@ -89,6 +87,4 @@ __all__ = [
     "threshold_crossing",
     "transverse_uncertainty",
     "welch_csd",
-    "white_noise",
-    "xcorr",
 ]

@@ -352,39 +352,47 @@ def _write_spectra(path: Path | None, est: SpectralEstimate, n_samples: int) -> 
 
 
 def _read_spectra(path: Path) -> SpectralEstimate:
-    """The estimate in a spectra file, refused unless header and columns agree."""
+    """The estimate in a spectra file, refused unless header and columns agree.
+
+    The header is checked before any row is parsed, and each range's rows
+    as they arrive, so a file that is not a spectra file is refused before
+    it is read whole.
+    """
     with _Input(path) as csv:
-        parts = list(csv.parts())
-    sample_rate, n_samples, segment_length, overlap, window, n_avg = _header(
-        csv.meta, path, "spectra", SPECTRA_FIELDS
-    )
-    # The null variance is computed for the Hann window, the only one Welch uses.
-    if window != "hann":
-        raise DomainError(f"spectra file {path}: unknown window {window!r}; "
-                          "holonoise spectra are always 'hann'")
-    for part in parts:
-        if part.shape[1] != 6:
-            raise DomainError(f"spectra file {path} must have 6 columns, found {part.shape[1]}")
+        sample_rate, n_samples, segment_length, overlap, window, n_avg = _header(
+            csv.meta, path, "spectra", SPECTRA_FIELDS
+        )
+        # The null variance is computed for the Hann window, the only one Welch uses.
+        if window != "hann":
+            raise DomainError(f"spectra file {path}: unknown window {window!r}; "
+                              "holonoise spectra are always 'hann'")
+        # n_avg sets the null variance, so it must be the count the header's
+        # segmenting gives, not a number the file merely states.
+        expected = segment_count(n_samples, segment_length, overlap)
+        if n_avg != expected:
+            raise DomainError(
+                f"spectra file {path}: n_avg = {n_avg}, but n_samples = {n_samples}, "
+                f"segment_length = {segment_length} and overlap = {_fmt(overlap)} give {expected}"
+            )
+        if not (math.isfinite(sample_rate) and sample_rate > 0.0):
+            raise DomainError(
+                f"spectra file {path}: sample_rate_hz = {sample_rate!r} is not a positive rate"
+            )
+        # The rows must be the whole Welch grid the header describes, so a file
+        # cut short, run long or with an edited header is refused rather than trusted.
+        rows = segment_length // 2 + 1
+        needs = f"segment_length = {segment_length} needs {rows}"
+        parts = []
+        for part in csv.parts():
+            if part.shape[1] != 6:
+                raise DomainError(f"spectra file {path} must have 6 columns, "
+                                  f"found {part.shape[1]}")
+            if csv.rows + len(part) > rows:
+                raise DomainError(f"spectra file {path} has more than {rows} rows; {needs}")
+            parts.append(part)
+    if csv.rows != rows:
+        raise DomainError(f"spectra file {path} has {csv.rows} rows; {needs}")
     data = np.concatenate(parts)
-    # n_avg sets the null variance, so it must be the count the header's
-    # segmenting gives, not a number the file merely states.
-    expected = segment_count(n_samples, segment_length, overlap)
-    if n_avg != expected:
-        raise DomainError(
-            f"spectra file {path}: n_avg = {n_avg}, but n_samples = {n_samples}, "
-            f"segment_length = {segment_length} and overlap = {_fmt(overlap)} give {expected}"
-        )
-    # The rows must be the whole Welch grid the header describes, so a file
-    # cut short or with an edited header is refused rather than trusted.
-    if len(data) != segment_length // 2 + 1:
-        raise DomainError(
-            f"spectra file {path} has {len(data)} rows; segment_length = "
-            f"{segment_length} needs {segment_length // 2 + 1}"
-        )
-    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
-        raise DomainError(
-            f"spectra file {path}: sample_rate_hz = {sample_rate!r} is not a positive rate"
-        )
     grid = np.fft.rfftfreq(segment_length, 1.0 / sample_rate)
     if not np.allclose(data[:, 0], grid, rtol=1e-12, atol=0.0):
         raise DomainError(
@@ -398,8 +406,13 @@ def _read_spectra(path: Path) -> SpectralEstimate:
         raise DomainError(f"spectra file {path} holds a non-finite value")
     if np.any(psd1 < 0.0) or np.any(psd2 < 0.0):
         raise DomainError(f"spectra file {path} holds a negative PSD")
-    if np.any(np.abs(csd) ** 2 > psd1 * psd2 * (1.0 + 1e-12)):
-        raise DomainError(f"spectra file {path}: |csd|^2 exceeds psd1 * psd2")
+    with np.errstate(over="ignore"):
+        power, cross = psd1 * psd2, np.abs(csd) ** 2
+        if np.any(cross > power * (1.0 + 1e-12)):
+            raise DomainError(f"spectra file {path}: |csd|^2 exceeds psd1 * psd2")
+    # welch_blocks refuses spectra whose products pass the float range, as here.
+    if not (np.isfinite(power).all() and np.isfinite(cross).all()):
+        raise DomainError(f"spectra file {path}: |csd|^2 or psd1 * psd2 passes the float range")
     if np.any(np.abs(coherence - coherence_of(psd1, psd2, csd)) > 1e-12):
         raise DomainError(f"spectra file {path}: coherence is not |csd|^2 / (psd1 * psd2)")
     return SpectralEstimate(
@@ -631,7 +644,11 @@ def _vouched(path: Path) -> tuple[str, bool]:
     file edited after it was written, though not one whose manifest was
     edited with it.
     """
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    sha256 = hashlib.sha256()
+    with path.open("rb") as handle:
+        while block := handle.read(1 << 20):
+            sha256.update(block)
+    digest = sha256.hexdigest()
     manifest_path = path.parent / "manifest.json"
     if not manifest_path.is_file():
         return digest, False

@@ -118,7 +118,7 @@ def integration_time_for(
     overlap: float = 0.5,
     holo_scale: float = 1.0,
 ) -> float:
-    """Shortest duration whose predicted SNR reaches ``target_sigma``, s.
+    """Shortest integration time whose predicted SNR reaches ``target_sigma``, s.
 
     Inverts the sqrt(n_avg) law in closed form and converts the resulting
     segment count to the wall-clock span of overlapped segments.

@@ -1,4 +1,4 @@
-"""Welch spectral estimation and cross-covariance for channel pairs.
+"""Welch auto- and cross-spectra of channel pairs.
 
 One numpy pass yields the auto- and cross-spectra of a pair: the series is
 cut into strided segment views, whose means are removed, which are windowed
@@ -25,7 +25,6 @@ Everything here is numpy.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -61,15 +60,6 @@ class SpectralEstimate:
     segment_length: int
     overlap: float
     sample_rate: float     # Hz
-
-
-@dataclass(frozen=True)
-class XcorrEstimate:
-    """Unbiased sample cross-covariance on the sample-lag grid."""
-
-    lags: np.ndarray   # s, symmetric about 0
-    xcov: np.ndarray   # m^2
-    n: int             # series length used
 
 
 def check_segment_length(segment_length: int) -> None:
@@ -342,30 +332,3 @@ def welch_csd(
                           f"({segment_length})")
     return welch_blocks([(pair.ch1, pair.ch2)], pair.sample_rate, segment_length, overlap)
 
-
-def xcorr(pair: TimeSeriesPair, max_lag: float) -> XcorrEstimate:
-    """Unbiased cross-covariance of the pair out to +/- max_lag seconds.
-
-    xcov[k] estimates E[ch1(t) ch2(t + k dt)] after mean removal, with the
-    1/(n - |k|) unbiased normalization, evaluated on the sample-lag grid.
-    max_lag may not exceed a quarter of the series duration.
-    """
-    n = pair.n_samples
-    dt = 1.0 / pair.sample_rate
-    if not math.isfinite(max_lag) or max_lag <= 0.0:
-        raise DomainError(f"max_lag must be positive, got {max_lag!r}")
-    if max_lag > n * dt / 4.0:
-        raise DomainError(
-            f"max_lag {max_lag!r} s exceeds a quarter of the duration {n * dt:.3e} s"
-        )
-    kmax = int(round(max_lag / dt))
-    if kmax < 1:
-        raise DomainError("max_lag is below one sample interval")
-    x = pair.ch1 - pair.ch1.mean()
-    y = pair.ch2 - pair.ch2.mean()
-    # Zero-padded to nfft >= 2n - 1, so the circular correlation
-    # c[k] = sum_t x[t] y[t + k] does not wrap; lag -k sits at c[nfft - k].
-    nfft = 1 << (2 * n - 1).bit_length()
-    c = np.fft.irfft(np.conjugate(np.fft.rfft(x, nfft)) * np.fft.rfft(y, nfft), nfft)
-    k = np.arange(-kmax, kmax + 1)
-    return XcorrEstimate(lags=k * dt, xcov=c[k] / (n - np.abs(k)), n=n)

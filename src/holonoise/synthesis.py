@@ -1,7 +1,8 @@
 """Seeded synthesis of the correlated-pair interferometer time series.
 
 Each channel is the sum of a common geometric component, shared between the
-two instruments, and an independent white shot-noise floor:
+two instruments, and an independent white shot-noise floor of one-sided PSD
+shot_asd^2, that is of variance shot_asd^2 * sample_rate / 2 per sample:
 
     ch_i = sqrt(holo_scale) * common + shot_i
 
@@ -161,10 +162,6 @@ class TimeSeriesPair:
     def n_samples(self) -> int:
         return len(self.ch1)
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
-
 
 def window_split(model: HolographicModel, sample_rate: float) -> tuple[int, float]:
     """The correlation window S = sample_rate * tau_c as (q, r), S = q + r."""
@@ -271,21 +268,6 @@ def synthesize_common(
     x = np.empty(n)
     for j in range(0, n, block):
         moving.next(x[j : j + block])
-    return x
-
-
-def white_noise(
-    asd: float, sample_rate: float, n: int, seed: int, stream_id: int
-) -> np.ndarray:
-    """White series with one-sided PSD asd^2, i.e. variance asd^2 * fs / 2."""
-    if not math.isfinite(asd) or asd < 0.0:
-        raise DomainError(f"asd must be >= 0, got {asd!r}")
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n!r}")
-    if asd == 0.0:
-        return np.zeros(n)
-    x = generator(seed, stream_id).standard_normal(n)
-    x *= asd * math.sqrt(sample_rate / 2.0)
     return x
 
 

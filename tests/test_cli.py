@@ -330,7 +330,7 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
     assert "common pieces=0, increments=3 (Brownian-difference moving sum)" in manifest["prng"]
-    assert manifest["version"] == holonoise.__version__ == "0.9.0"
+    assert manifest["version"] == holonoise.__version__ == "0.10.0"
     assert manifest["numpy_version"] == np.__version__
     import hashlib
 
@@ -384,13 +384,20 @@ def test_simulate_spectra_are_welch_of_synthesize_pair(tmp_path, cpus):
     assert series[:, 0].tobytes() == (np.arange(cfg.n_samples) / cfg.sample_rate).tobytes()
 
 
-def peak_rss_mb(argv, stderr_path):
-    """Peak resident set of a fresh ``python -m holonoise.cli`` run, from wait4."""
+def peak_rss_mb(argv, stderr_path, code=0):
+    """Peak resident set of a fresh ``python -m holonoise.cli`` run that exits
+    with ``code``, from wait4.
+
+    A child started by vfork reports the peak of this process as its own,
+    since exec folds the peak of the memory it leaves into the child's; a
+    ``preexec_fn`` makes Popen fork instead.
+    """
     with stderr_path.open("wb") as stderr:
         proc = subprocess.Popen([sys.executable, "-m", "holonoise.cli", *argv],
-                                stdout=subprocess.DEVNULL, stderr=stderr)
+                                stdout=subprocess.DEVNULL, stderr=stderr,
+                                preexec_fn=lambda: None)
         _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0, stderr_path.read_text()
+    assert os.waitstatus_to_exitcode(status) == code, stderr_path.read_text()
     return usage.ru_maxrss / 1024
 
 
@@ -418,6 +425,30 @@ def test_analyze_memory_does_not_grow_with_n(tmp_path, long_dumps):
                          tmp_path / "stderr.txt")
              for n, path in sorted(long_dumps.items())]
     assert abs(peaks[1] - peaks[0]) <= 15.0, peaks
+
+
+def test_detect_refuses_a_timeseries_in_memory_that_does_not_grow_with_n(tmp_path, long_dumps):
+    # The header is checked before any row is parsed, and the digest taken a
+    # megabyte at a time, so refusing the 2^20 dump may cost no more than
+    # 10 MB more than refusing the 2^18 one; parsing the rows first cost
+    # ~66 MB more.
+    peaks = []
+    for n, path in sorted(long_dumps.items()):
+        stderr = tmp_path / f"stderr{n}.txt"
+        peaks.append(peak_rss_mb(["detect", "--estimate", str(path), "--band", "0:1e6"],
+                                 stderr, code=1))
+        assert stderr.read_text() == (f"error: spectra file {path} lacks header fields: "
+                                      "n_avg, n_samples, window\n")
+    assert abs(peaks[1] - peaks[0]) <= 10.0, peaks
+
+
+def test_detect_refuses_a_timeseries_before_parsing_it(tmp_path, capsys):
+    bad = tmp_path / "timeseries.csv"
+    bad.write_text("# sample_rate_hz = 5e7\n# segment_length = 1024\n# overlap = 0.5\n"
+                   "# columns: time_s,ch1_m,ch2_m,common_m\n0,zz,0,0\n")
+    assert main(["detect", "--estimate", str(bad), "--band", "0:1e6"]) == 1
+    assert capsys.readouterr().err == (f"error: spectra file {bad} lacks header fields: "
+                                       "n_avg, n_samples, window\n")
 
 
 def test_simulate_env_var_output_dir(tmp_path, config_path, monkeypatch):
@@ -674,16 +705,27 @@ def halve_coherence(rows):
     rows[10][5] = repr(float(rows[10][5]) / 2.0)
 
 
+def huge_csd_re(rows):
+    rows[10][3] = "1e200"
+
+
+def huge_psds(rows):
+    rows[10][1] = rows[10][2] = "1e200"
+
+
 @pytest.mark.parametrize("edit,reason", [
     (negate_psd1, "negative PSD"),
     (nan_psd1, "non-finite"),
     (inf_csd_re, "non-finite"),
     (zero_band_psds, "exceeds psd1 * psd2"),
     (halve_coherence, "coherence"),
+    (huge_csd_re, "exceeds psd1 * psd2"),
+    (huge_psds, "float range"),
 ])
 def test_detect_rejects_inconsistent_columns(tmp_path, config_path, edit, reason):
-    # Each edit used to exit 0: sigma 0.0 for the first, second and fourth,
-    # and a "sigma_level": Infinity that is not JSON for the third.
+    # The first five edits used to exit 0: sigma 0.0 for the first, second
+    # and fourth, and a "sigma_level": Infinity that is not JSON for the
+    # third.  The last two were refused only after numpy's overflow warnings.
     spectra = unvouched_spectra(tmp_path, config_path)
     lines = spectra.read_text().splitlines()
     head = [line for line in lines if line.startswith("#")]
@@ -913,7 +955,7 @@ def test_cli_import_does_not_load_scipy_signal(tmp_path, config_path):
 
 def test_every_subcommand_runs_without_scipy(tmp_path, config_path):
     # numpy is the only runtime dependency: with every scipy import refused,
-    # all seven subcommands, and xcorr, still work.
+    # all seven subcommands still work.
     run = str(tmp_path / "run")
     script = (
         "import sys\n"
@@ -938,8 +980,6 @@ def test_every_subcommand_runs_without_scipy(tmp_path, config_path):
         "     '--output', run + '/detect.json'],\n"
         "]\n"
         "print([main(argv) for argv in argvs])\n"
-        "pair = holonoise.synthesize_pair(holonoise.ExperimentConfig(n_samples=2**15))\n"
-        "holonoise.xcorr(pair, max_lag=1e-6)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     (tmp_path / "run").mkdir()

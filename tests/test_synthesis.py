@@ -23,7 +23,6 @@ from holonoise import (
     autocorrelation,
     synthesize_common,
     synthesize_pair,
-    white_noise,
 )
 from holonoise import _workers, synthesis
 from holonoise.spectral import segment_count, welch_blocks, welch_csd
@@ -35,6 +34,8 @@ from holonoise.synthesis import (
     generator,
     window_split,
 )
+
+from helpers import white_noise
 
 FS = 5e7
 N_LONG = 2**20
@@ -319,27 +320,19 @@ def test_common_exact_small_case_covariance(model40):
 # ----------------------------------------------------------------- shot noise
 
 
-def test_white_noise_zero_asd():
-    assert np.array_equal(white_noise(0.0, FS, 100, 0, STREAM_SHOT1), np.zeros(100))
-
-
 def test_white_noise_variance():
-    x = white_noise(2e-18, FS, 2**20, 3, STREAM_SHOT1)
+    # With holo_scale = 0 each channel is its shot floor alone.
+    pair = synthesize_pair(ExperimentConfig(n_samples=2**20, seed=3, holo_scale=0.0))
     # Per-sample sigma = asd * sqrt(fs / 2) = 1e-14.
-    assert x.std() == pytest.approx(1e-14, rel=0.02)
+    assert pair.ch1.std() == pytest.approx(1e-14, rel=0.02)
+    assert pair.ch2.std() == pytest.approx(1e-14, rel=0.02)
 
 
 def test_white_noise_stream_independence():
     n = 2**20
-    a = white_noise(2e-18, FS, n, 5, STREAM_SHOT1)
-    b = white_noise(2e-18, FS, n, 5, STREAM_SHOT2)
-    r = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+    pair = synthesize_pair(ExperimentConfig(n_samples=n, seed=5, holo_scale=0.0))
+    r = np.dot(pair.ch1, pair.ch2) / (np.linalg.norm(pair.ch1) * np.linalg.norm(pair.ch2))
     assert abs(r) < 3.0 / math.sqrt(n)
-
-
-def test_white_noise_rejects_negative_asd():
-    with pytest.raises(DomainError):
-        white_noise(-1e-18, FS, 100, 0, STREAM_SHOT1)
 
 
 # ----------------------------------------------------------------- full pairs
@@ -421,6 +414,10 @@ def test_pair_zero_holo_scale_no_common(model40):
 def test_pair_channel_decomposition():
     cfg = ExperimentConfig(n_samples=2**14, seed=11)
     pair = synthesize_pair(cfg)
+    # The common part is synthesize_common's series, whose covariance the
+    # exact linear-map test and acceptance 05 pin to the triangle.
+    common = synthesize_common(cfg.model(), cfg.sample_rate, cfg.n_samples, cfg.seed)
+    assert pair.common.tobytes() == common.tobytes()
     shot1 = pair.ch1 - pair.common
     shot2 = pair.ch2 - pair.common
     expected1 = white_noise(cfg.shot_asd, cfg.sample_rate, cfg.n_samples, 11, STREAM_SHOT1)
@@ -450,7 +447,6 @@ def test_pair_properties():
     cfg = ExperimentConfig(n_samples=2**14)
     pair = synthesize_pair(cfg)
     assert pair.n_samples == 2**14
-    assert pair.duration == pytest.approx(2**14 / cfg.sample_rate, rel=1e-15)
 
 
 def test_pair_rejects_length_mismatch():
