@@ -1,13 +1,13 @@
-"""Ordered maps over the CPUs this process may use.
+"""How many workers a parallel stage may use, and an ordered process map.
 
 One policy serves every parallel stage: the worker count is the size of
 the process's CPU affinity mask (``os.sched_getaffinity``), so ``taskset``
 is the only control, and with one CPU nothing is started at all.
 `ProcessMap` forks processes, for pure-Python work such as CSV formatting
-and parsing; `ThreadMap` runs threads, for numpy work that releases the
-GIL.  Both return results in item order, so a caller that combines them in
-that order gets the same bits on any CPU count.  Their pool modules are
-imported only when a pool is started.
+and parsing, and returns results in item order, so a caller that combines
+them in that order gets the same bits on any CPU count.  `thread_count`
+sizes the thread pool of synthesis, for numpy work that releases the GIL.
+Pool modules are imported only when a pool is started.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from collections import deque
 from collections.abc import Iterator
 
-#: Array elements of work below which a `ThreadMap` stays in the calling thread.
+#: Array elements of work below which no thread is started.
 #: On two cores, a null pair of 2^17 samples (2^18 elements) synthesized no
 #: faster on two threads, and a 2^15-sample Monte Carlo replica slower.
 MIN_THREAD_WORK = 1 << 19
@@ -82,45 +82,5 @@ class ProcessMap:
 
 
 def thread_count(items: int, work: int) -> int:
-    """Threads a `ThreadMap` runs ``items`` tasks of ``work`` array elements in all on."""
+    """Threads to run ``items`` tasks of ``work`` array elements in all on."""
     return 1 if work < MIN_THREAD_WORK else max(1, min(cpu_count(), items))
-
-
-class ThreadMap:
-    """Ordered maps over threads that live from entering the ``with`` block to leaving it.
-
-    A stream processed block by block makes one short map per block; starting
-    the threads once lets them stay on the CPUs they were placed on, where
-    threads started anew for every block of a few milliseconds often share
-    one CPU.  Every thread has ended when the ``with`` block is left, so a
-    process forked before entering it or after leaving it never has live
-    threads; nothing may be forked inside it.  `start` begins a map without
-    waiting for it, so the caller can work meanwhile.  With one thread per
-    map no thread is started at all, and the map runs at once.
-    """
-
-    def __init__(self):
-        self.pool = None
-
-    def __enter__(self) -> "ThreadMap":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-
-    def map(self, func, items: list, work: int) -> list:
-        """``list(map(func, items))``, over `thread_count` threads."""
-        return self.start(func, items, work)()
-
-    def start(self, func, items: list, work: int):
-        """Start ``map(func, items)``; a call that waits for its results in order."""
-        if thread_count(len(items), work) < 2:
-            results = list(map(func, items))
-            return lambda: results
-        if self.pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self.pool = ThreadPoolExecutor(cpu_count())
-        futures = [self.pool.submit(func, item) for item in items]
-        return lambda: [future.result() for future in futures]

@@ -591,7 +591,7 @@ def cmd_simulate(args) -> int:
     blocks = synthesize_blocks(config)
     dump = _Output(outdir / "timeseries.csv", config.n_samples) if args.dump_timeseries else None
     # Entered before the first block is drawn, so the CSV workers are forked
-    # while no synthesis or Welch thread is alive.
+    # while no synthesis thread is alive.
     with dump or contextlib.nullcontext():
         if dump is not None:
             values = (config.sample_rate, config.segment_length, config.overlap)
@@ -629,8 +629,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    # Entered before welch_blocks starts its threads, so the CSV workers are
-    # forked while none is alive.
+    # welch_blocks starts no thread, so the CSV workers are forked, and run,
+    # while none is alive.
     with _Input(Path(args.timeseries)) as series:
         estimate = welch_blocks(*_read_timeseries(series))
     _write_spectra(Path(args.output) if args.output else None, estimate, series.rows)

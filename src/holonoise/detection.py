@@ -160,11 +160,13 @@ def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) ->
         kernel += seg_weight * np.abs(lag_transform) ** 2
     amp = np.sqrt(estimate.psd1[idx] * estimate.psd2[idx])
     nfft = 1 << (2 * n_bins - 1).bit_length()
-    spec = np.fft.rfft(amp, nfft)
-    auto = np.fft.irfft(spec * np.conjugate(spec), nfft)[:n_bins]
-    conv = np.fft.irfft(spec * spec, nfft)[: 2 * n_bins - 1]
-    diff_sum = 2.0 * float(np.dot(auto, kernel[:n_bins])) - auto[0] * kernel[0]
-    image_sum = float(np.dot(conv, kernel[(2 * idx[0] + np.arange(2 * n_bins - 1)) % length]))
+    # Near the float range these overflow; the caller refuses what is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = np.fft.rfft(amp, nfft)
+        auto = np.fft.irfft(spec * np.conjugate(spec), nfft)[:n_bins]
+        conv = np.fft.irfft(spec * spec, nfft)[: 2 * n_bins - 1]
+        diff_sum = 2.0 * float(np.dot(auto, kernel[:n_bins])) - float(auto[0] * kernel[0])
+        image_sum = float(np.dot(conv, kernel[(2 * idx[0] + np.arange(len(conv))) % length]))
     return (diff_sum + image_sum) / (2.0 * n_avg**2 * n_bins**2 * float(np.dot(win, win)) ** 2)
 
 

@@ -5,13 +5,12 @@ cut into strided segment views, whose means are removed, which are windowed
 and go through one ``rfft`` per channel, about ``FFT_BATCH_SAMPLES``
 samples per call, and whose ``|X1|^2``, ``|X2|^2`` and ``conj(X1) X2`` are
 summed over chunks of ``SEGMENT_CHUNK`` segments.  The pass consumes the
-series as consecutive blocks (`welch_blocks`): segments are counted from
-the first sample, the samples of the segment a block cuts are carried into
-the next, and each chunk sum joins the running total in chunk order as the
-chunk completes, so memory is fixed by the block, not the series, and the
-bits depend on neither the cut into blocks, the batch size nor the number
-of worker threads a block's chunks are shared among (see
-`_workers.ThreadMap`).  `welch_csd` is the one-block case.  The sums carry
+series as consecutive blocks (`welch_blocks`), in the calling thread:
+segments are counted from the first sample, the samples of the segment a
+block cuts are carried into the next, and each chunk sum joins the running
+total in chunk order as the chunk completes, so memory is fixed by the
+block, not the series, and the bits depend on neither the cut into blocks
+nor the batch size.  `welch_csd` is the one-block case.  The sums carry
 scipy.signal's one-sided density scaling (Welch 1967; Heinzel, Ruediger &
 Schilling 2002) with ``detrend="constant"``: a flat input returns its ASD^2
 level, and DC and Nyquist are not doubled.  The window is always the
@@ -32,7 +31,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._workers import ThreadMap, thread_count
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -43,7 +41,8 @@ if TYPE_CHECKING:
 SEGMENT_CHUNK = 32
 
 #: Samples windowed and transformed per FFT call (whole segments, at least
-#: one); small enough for the working arrays to stay in cache.
+#: one and at most a chunk); small enough for the working arrays to stay in
+#: cache.
 FFT_BATCH_SAMPLES = 1 << 15
 
 
@@ -107,74 +106,17 @@ def coherence_of(psd1: np.ndarray, psd2: np.ndarray, csd: np.ndarray) -> np.ndar
     return np.clip(coherence, 0.0, 1.0, out=coherence)
 
 
-def _sum_rows(terms: np.ndarray, a: int, b: int, carry: bool, out: np.ndarray) -> None:
-    """``out`` = terms[a + 1], ..., terms[b] added in order, after ``out`` when ``carry``.
+def _sum_rows(terms: np.ndarray, k: int, carry: bool, out: np.ndarray) -> None:
+    """``out`` = terms[1], ..., terms[k] added in order, after ``out`` when ``carry``.
 
-    Rows are added one after another, so a chunk summed a piece at a time
-    gets the same bits as a chunk summed at once.  terms[a] is overwritten.
+    Rows are added one after another, so a chunk summed a batch at a time
+    gets the same bits as a chunk summed at once.  terms[0] is overwritten.
     """
     if carry:
-        terms[a] = out
-        terms[a : b + 1].sum(axis=0, out=out)
+        terms[0] = out
+        terms[: k + 1].sum(axis=0, out=out)
     else:
-        terms[a + 1 : b + 1].sum(axis=0, out=out)
-
-
-def _work_arrays(length: int):
-    """What one worker writes into: a scratch buffer, a spectrum per channel,
-    and the rows to sum, for batches of ``FFT_BATCH_SAMPLES // length`` segments."""
-    rows, n_freq = max(1, FFT_BATCH_SAMPLES // length), length // 2 + 1
-    return (
-        np.empty(max(rows * length, 2 * (rows + 1) * n_freq)),
-        [np.empty((rows, n_freq), dtype=complex) for _ in range(2)],
-        np.empty((rows + 1, n_freq)),
-    )
-
-
-def _chunk_sums(segments, base, win, first, stop, work, power, cross):
-    """Sum the segments ``first`` to ``stop`` into their chunks' rows: row
-    i - base // SEGMENT_CHUNK of ``power[c]`` gets chunk i's sum of |X_c|^2
-    and the same row of ``cross`` its sum of conj(X1) X2.
-
-    Segment indices count from the start of the series, and ``segments``
-    holds each channel's segments from ``base`` onwards.  A chunk that
-    began before ``first`` adds onto the sum its row already holds.
-    Segments go through the FFT a batch at a time, whatever chunks they
-    belong to, and every step writes into the ``work`` arrays, so a worker
-    needs a fixed few times ``FFT_BATCH_SAMPLES`` floats.
-    """
-    scratch, spectra, terms = work
-    length = len(win)
-    n_freq = length // 2 + 1
-    row0 = base // SEGMENT_CHUNK
-    # Samples too large to square give sums that welch_blocks refuses.  The
-    # error state belongs to the thread that sets it, so it is set here, on
-    # whichever thread sums these chunks.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(first, stop, len(terms) - 1):
-            k = min(len(terms) - 1, stop - lo)
-            # Batch rows a to b - 1 are chunk i's segments lo + a to lo + b - 1.
-            pieces = [
-                (i - row0, max(lo, i * SEGMENT_CHUNK) - lo,
-                 min(lo + k, (i + 1) * SEGMENT_CHUNK) - lo)
-                for i in range(lo // SEGMENT_CHUNK, -(-(lo + k) // SEGMENT_CHUNK))
-            ]
-            for seg, spectrum, total in zip(segments, spectra, power):
-                chunk = seg[lo - base : lo - base + k]
-                x = scratch[: k * length].reshape(k, length)
-                np.subtract(chunk, chunk.mean(axis=-1, keepdims=True), out=x)
-                x *= win
-                spec = np.fft.rfft(x, out=spectrum[:k])
-                im2 = np.square(spec.imag, out=scratch[: k * n_freq].reshape(k, n_freq))
-                re2 = np.square(spec.real, out=terms[1 : k + 1])
-                re2 += im2
-                for i, a, b in pieces:
-                    _sum_rows(terms, a, b, (lo + a) % SEGMENT_CHUNK > 0, total[i])
-            prod = scratch[: 2 * (k + 1) * n_freq].view(complex).reshape(k + 1, n_freq)
-            np.conjugate(spectra[0][:k], out=prod[1:])
-            prod[1:] *= spectra[1][:k]
-            for i, a, b in pieces:
-                _sum_rows(prod, a, b, (lo + a) % SEGMENT_CHUNK > 0, cross[i])
+        terms[1 : k + 1].sum(axis=0, out=out)
 
 
 def welch_blocks(
@@ -206,52 +148,57 @@ def welch_blocks(
     Every segment has its mean removed and is multiplied by `hann_window`.
     Segments are counted from the first sample, and the samples of a
     segment not yet whole, fewer than ``segment_length``, are carried into
-    the next block.  Each worker thread (see `_workers.ThreadMap`) sums one
-    contiguous group of a block's chunks, and every chunk sum joins the
-    running total in chunk order as the chunk completes, so the result is
-    the same bits on any CPU count and for any cut into blocks.  Spectra
-    that are not finite, from a sample that is not or whose square is not,
-    are refused.
+    the next block.  Segments go through the FFT a batch at a time in the
+    calling thread, no batch runs past the end of its chunk, and every
+    chunk sum joins the running total in chunk order as the chunk
+    completes, so the result is the same bits for any cut into blocks.
+    Spectra that are not finite, from a sample that is not or whose square
+    is not, are refused.
     """
     check_segment_length(segment_length)
     step = segment_step(segment_length, overlap)
     win = hann_window(segment_length)
     n_freq = segment_length // 2 + 1
+    rows = min(SEGMENT_CHUNK, max(1, FFT_BATCH_SAMPLES // segment_length))
+    scratch = np.empty(max(rows * segment_length, 2 * (rows + 1) * n_freq))
+    spectra = np.empty((2, rows, n_freq), dtype=complex)
+    terms = np.empty((rows + 1, n_freq))
 
     n = done = 0  # samples seen, and segments summed, so far
     carry = [np.empty(0), np.empty(0)]
+    # The sums of the chunk in progress, and of the chunks before it.
+    power, cross = np.empty((2, n_freq)), np.empty(n_freq, dtype=complex)
     totals, csd = np.zeros((2, n_freq)), np.zeros(n_freq, dtype=complex)
-    open_chunk = None
-    work: list = []
-    with ThreadMap() as threads, np.errstate(over="ignore", invalid="ignore"):
+    # Samples too large to square give sums that are refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
 
         def accumulate(segments, first, stop):
             """Sum segments ``first`` to ``stop``, which ``segments`` holds from
-            ``first`` on, and add the chunks they complete to the totals."""
-            nonlocal open_chunk, totals, csd
-            row0, rows = first // SEGMENT_CHUNK, -(-stop // SEGMENT_CHUNK)
-            power = np.empty((2, rows - row0, n_freq))
-            cross = np.empty((rows - row0, n_freq), dtype=complex)
-            if open_chunk is not None:
-                power[:, 0], cross[0] = open_chunk
-            load = 2 * (stop - first) * segment_length
-            groups = np.array_split(np.arange(row0, rows), thread_count(rows - row0, load))
-            # Every array a worker writes is allocated here: memory that a worker
-            # thread allocates stays in that thread's malloc arena after it ends.
-            work.extend(_work_arrays(segment_length) for _ in range(len(groups) - len(work)))
-            tasks = [
-                (max(first, g[0] * SEGMENT_CHUNK), min(stop, (g[-1] + 1) * SEGMENT_CHUNK), w)
-                for g, w in zip(groups, work)
-            ]
-            threads.map(
-                lambda task: _chunk_sums(segments, first, win, *task, power, cross),
-                tasks, load,
-            )
-            complete = stop // SEGMENT_CHUNK - row0
-            for i in range(complete):
-                totals += power[:, i]
-                csd += cross[i]
-            open_chunk = (power[:, complete], cross[complete]) if stop % SEGMENT_CHUNK else None
+            ``first`` on, a batch of at most ``rows`` at a time.  A batch ends
+            at the end of its chunk, whose sums then join the totals."""
+            nonlocal totals, csd
+            lo = first
+            while lo < stop:
+                k = min(rows, stop - lo, SEGMENT_CHUNK - lo % SEGMENT_CHUNK)
+                continued = lo % SEGMENT_CHUNK > 0
+                for seg, spectrum, total in zip(segments, spectra, power):
+                    chunk = seg[lo - first : lo - first + k]
+                    x = scratch[: k * segment_length].reshape(k, segment_length)
+                    np.subtract(chunk, chunk.mean(axis=-1, keepdims=True), out=x)
+                    x *= win
+                    spec = np.fft.rfft(x, out=spectrum[:k])
+                    im2 = np.square(spec.imag, out=scratch[: k * n_freq].reshape(k, n_freq))
+                    re2 = np.square(spec.real, out=terms[1 : k + 1])
+                    re2 += im2
+                    _sum_rows(terms, k, continued, total)
+                prod = scratch[: 2 * (k + 1) * n_freq].view(complex).reshape(k + 1, n_freq)
+                np.conjugate(spectra[0][:k], out=prod[1:])
+                prod[1:] *= spectra[1][:k]
+                _sum_rows(prod, k, continued, cross)
+                lo += k
+                if lo % SEGMENT_CHUNK == 0:
+                    totals += power
+                    csd += cross
 
         def windows(series, count):
             return [sliding_window_view(ch, segment_length)[::step][:count] for ch in series]
@@ -288,9 +235,9 @@ def welch_blocks(
             raise DomainError(
                 f"series of length {n} is shorter than one segment ({segment_length})"
             )
-        if open_chunk is not None:
-            totals += open_chunk[0]
-            csd += open_chunk[1]
+        if done % SEGMENT_CHUNK:
+            totals += power
+            csd += cross
         # One-sided density: every bin but DC and Nyquist carries both signs.
         scale = np.full(n_freq, 2.0 / (sample_rate * float(np.dot(win, win)) * done))
         scale[0] /= 2.0

@@ -37,7 +37,7 @@ r-pieces (stream 0) and unit-interval rests (stream 3), and the two shot
 floors (streams 1 and 2) are mutually independent and each is reproducible
 bit for bit from ``(seed, stream_id)`` alone.  Each block's common
 component and two shot floors are therefore made concurrently, on as many
-of them as the CPUs the process may use allow (see `_workers.ThreadMap`),
+threads as the CPUs the process may use allow (`_workers.thread_count`),
 without changing a bit.
 """
 
@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._workers import ThreadMap
+from ._workers import thread_count
 from .errors import DomainError
 from .model import HolographicModel
 from .spectral import check_segment_length, segment_step
@@ -64,8 +64,8 @@ STREAM_SHOT2 = 2
 STREAM_INCREMENTS = 3
 
 #: Samples per synthesized block.  At the default 8192-sample segments and
-#: 50% overlap that is two 32-segment Welch chunks, one for each of two
-#: threads; memory held between blocks does not grow with n_samples.
+#: 50% overlap that is two 32-segment Welch chunks; memory held between
+#: blocks does not grow with n_samples.
 BLOCK_SAMPLES = 1 << 18
 
 
@@ -276,20 +276,17 @@ def _shot(stream: np.random.Generator, out: np.ndarray, scale: float) -> None:
     out *= scale
 
 
-def _call(draw) -> None:
-    draw()
-
-
 def synthesize_blocks(config: ExperimentConfig) -> Iterator[TimeSeriesPair]:
     """The pair of `synthesize_pair` as consecutive blocks of ``BLOCK_SAMPLES``.
 
     The configuration is checked before this returns.  For each block the
     common component (its two streams and the moving sum) and the two shot
-    floors are made concurrently on the CPUs the process may use (see
-    `_workers.ThreadMap`, whose threads live until the blocks run out or the
-    iterator is closed), and the next block is drawn while the caller uses
-    this one; the channel sums follow in the calling thread.  Each block is
-    a `TimeSeriesPair`, with its finite check; the last may be shorter.
+    floors are made concurrently on a pool of `_workers.thread_count`
+    threads, started with the first block and ended when the blocks run out
+    or the iterator is closed, and the next block is drawn while the caller
+    uses this one; the channel sums follow in the calling thread.  Each
+    block is a `TimeSeriesPair`, with its finite check; the last may be
+    shorter.
     """
     return (TimeSeriesPair(config.sample_rate, *block) for block in _blocks(config, None))
 
@@ -311,8 +308,9 @@ def _blocks(config: ExperimentConfig, out) -> Iterator[list[np.ndarray]]:
     amplitude = math.sqrt(config.holo_scale)
     streams = len(shots) + (2 if moving is not None else 0)
 
-    def start(threads: ThreadMap, j: int):
-        """Start drawing the block at sample j; a call that waits for its arrays."""
+    def start(pool, j: int):
+        """Start drawing the block at sample j on the pool, if there is one; a call
+        that returns its arrays once drawn, and draws them itself without a pool."""
         m = min(block, n - j)
         # Arrays are allocated here, not in the threads, whose malloc
         # arenas would keep the memory.
@@ -324,17 +322,26 @@ def _blocks(config: ExperimentConfig, out) -> Iterator[list[np.ndarray]]:
             common.fill(0.0)
         else:
             draws.insert(0, functools.partial(moving.next, common, amplitude))
-        wait = threads.start(_call, draws, streams * m)
-        return lambda: (wait(), arrays)[1]
+        if pool is None:
+            return lambda: ([draw() for draw in draws], arrays)[1]
+        futures = [pool.submit(draw) for draw in draws]
+        return lambda: ([future.result() for future in futures], arrays)[1]
 
     def generate():
-        with ThreadMap() as threads:
-            pending = start(threads, 0)
+        # A task for each shot floor, and one for the common component.
+        threads = thread_count(len(shots) + (moving is not None), streams * block)
+        pool = None
+        try:
+            if threads > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                pool = ThreadPoolExecutor(threads)
+            pending = start(pool, 0)
             for j in range(0, n, block):
                 ch1, ch2, common = pending()
-                # The next block is drawn while the caller uses this one.
+                # On the pool, the next block is drawn while the caller uses this one.
                 if j + block < n:
-                    pending = start(threads, j + block)
+                    pending = start(pool, j + block)
                 for ch in (ch1, ch2):
                     if shots:
                         # shot_i + common, which rounds exactly as common + shot_i.
@@ -342,6 +349,9 @@ def _blocks(config: ExperimentConfig, out) -> Iterator[list[np.ndarray]]:
                     else:
                         ch[:] = common
                 yield ch1, ch2, common
+        finally:
+            if pool is not None:
+                pool.shutdown()
 
     return generate()
 

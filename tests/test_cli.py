@@ -397,7 +397,9 @@ def peak_rss_mb(argv, stderr_path, code=0):
                                 stdout=subprocess.DEVNULL, stderr=stderr,
                                 preexec_fn=lambda: None)
         _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == code, stderr_path.read_text()
+        # Told, Popen does not warn that the child it can no longer reap runs on.
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == code, stderr_path.read_text()
     return usage.ru_maxrss / 1024
 
 
@@ -713,6 +715,12 @@ def huge_psds(rows):
     rows[10][1] = rows[10][2] = "1e200"
 
 
+def huge_band_psds(rows):
+    for k in BAND_ROWS:
+        rows[k][1] = rows[k][2] = "1e152"
+        rows[k][5] = "0"
+
+
 @pytest.mark.parametrize("edit,reason", [
     (negate_psd1, "negative PSD"),
     (nan_psd1, "non-finite"),
@@ -721,11 +729,12 @@ def huge_psds(rows):
     (halve_coherence, "coherence"),
     (huge_csd_re, "exceeds psd1 * psd2"),
     (huge_psds, "float range"),
+    (huge_band_psds, "null variance nan is no z-score"),
 ])
 def test_detect_rejects_inconsistent_columns(tmp_path, config_path, edit, reason):
     # The first five edits used to exit 0: sigma 0.0 for the first, second
     # and fourth, and a "sigma_level": Infinity that is not JSON for the
-    # third.  The last two were refused only after numpy's overflow warnings.
+    # third.  The last three were refused only after numpy's overflow warnings.
     spectra = unvouched_spectra(tmp_path, config_path)
     lines = spectra.read_text().splitlines()
     head = [line for line in lines if line.startswith("#")]
@@ -930,9 +939,9 @@ def test_cli_import_does_not_load_scipy_signal(tmp_path, config_path):
     # No subcommand needs scipy.signal: the Welch kernel and the Hann window
     # are numpy, so neither starting the CLI nor simulate -> analyze ->
     # detect may pay for its import.  Their 2^15-sample files are one CSV
-    # block or range each, so they start no worker processes either, and
-    # their synthesis and Welch work is below the thread floor, so no pool
-    # module is imported.
+    # block or range each, so they start no worker processes either, their
+    # synthesis work is below the thread floor, and the Welch pass starts no
+    # thread, so no pool module is imported.
     modules = "('scipy.signal', 'multiprocessing', 'concurrent.futures')"
     script = (
         "import sys, holonoise.cli\n"

@@ -8,7 +8,6 @@ The spectrum of a single series x is ``psd1`` of the pair (x, x).
 
 import math
 import os
-import sys
 import threading
 
 import numpy as np
@@ -22,7 +21,7 @@ from holonoise import (
     synthesize_pair,
     welch_csd,
 )
-from holonoise import _workers, spectral
+from holonoise import spectral
 from holonoise.spectral import (
     SEGMENT_CHUNK,
     hann_window,
@@ -185,9 +184,6 @@ def zero_mean_pair(pair, overlap=0.5):
 
 @pytest.mark.parametrize("detrend", ["constant", False], ids=lambda detrend: f"hann-{detrend}")
 def test_welch_bits_do_not_depend_on_cpu_count(monkeypatch, cpus, parity_pair, detrend):
-    # The 20 chunks split unevenly between two threads.
-    assert N_AVG % (SEGMENT_CHUNK * 2)
-    assert _workers.thread_count(20, 2 * N_AVG * SEG) == cpus
     pair = parity_pair if detrend else zero_mean_pair(parity_pair)
     threads_before = threading.active_count()
     got = welch_bits(pair)
@@ -221,29 +217,10 @@ def whole_chunk_spectra(pair, seg):
 
 @pytest.mark.parametrize("rows", [1, 13, 32, 100])
 def test_welch_bits_do_not_depend_on_fft_batch(monkeypatch, cpus, parity_pair, rows):
-    # Batches of other than 32 rows cut chunks into pieces or span several,
-    # and the row sums carry across the cuts; on two CPUs the chunks are
-    # also shared between threads.
+    # Batches of other than 32 rows cut chunks into pieces, and the row sums
+    # carry across the cuts.
     monkeypatch.setattr(spectral, "FFT_BATCH_SAMPLES", rows * SEG)
     assert welch_bits(parity_pair)[:3] == whole_chunk_spectra(parity_pair, SEG)
-
-
-def test_welch_threads_under_stress(monkeypatch, parity_pair):
-    # Eight workers on however few cores, switching every microsecond, all
-    # writing rows of the same chunk-sum arrays: a lost or misplaced row
-    # would change the bits.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    monkeypatch.setattr(spectral, "FFT_BATCH_SAMPLES", 13 * SEG)
-    assert _workers.thread_count(20, N_AVG * SEG) == 8
-    threads_before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            assert welch_bits(parity_pair)[:3] == whole_chunk_spectra(parity_pair, SEG)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads_before
 
 
 def cut(series: list[np.ndarray], sizes: list[int]) -> list[tuple]:
@@ -259,20 +236,34 @@ def cut(series: list[np.ndarray], sizes: list[int]) -> list[tuple]:
 @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75], ids=lambda overlap: f"{overlap}-hann")
 @pytest.mark.parametrize("detrend", ["constant", False])
 def test_streamed_welch_is_the_one_shot_welch(cpus, parity_pair, overlap, detrend):
-    # Blocks that split segments and chunks anywhere, blocks shorter than a
-    # segment, and, at overlap 0.5 and 0.75, blocks of above 2^19 elements
-    # of work, which run on two threads with two CPUs: all give the one-shot
-    # bits.
+    # Blocks that split segments and chunks anywhere, and blocks shorter
+    # than a segment, all give the one-shot bits.
     pair = parity_pair if detrend else zero_mean_pair(parity_pair, overlap)
     est = welch_csd(pair, SEG, overlap)
     sizes = [700, 150_001, 999, 40_000]
-    assert _workers.thread_count(9, 2 * (150_001 // (SEG // 2)) * SEG) == cpus
     threads_before = threading.active_count()
     streamed = welch_blocks(cut([pair.ch1, pair.ch2], sizes), FS, SEG, overlap)
     assert threading.active_count() == threads_before
     assert streamed.n_avg == est.n_avg == segment_count(pair.n_samples, SEG, overlap)
     for name in ("psd1", "psd2", "csd", "coherence"):
         assert getattr(streamed, name).tobytes() == getattr(est, name).tobytes()
+
+
+def test_welch_starts_no_thread(monkeypatch, parity_pair):
+    # Blocks of 2^18 samples are far above the thread floor, but on two CPUs
+    # too the Welch pass sums them in the calling thread.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads_before = threading.active_count()
+    counts = []
+
+    def blocks():
+        for block in cut([parity_pair.ch1, parity_pair.ch2], [1 << 18]):
+            counts.append(threading.active_count())
+            yield block
+
+    welch_blocks(blocks(), FS, SEG)
+    counts.append(threading.active_count())
+    assert counts == [threads_before] * 3
 
 
 def test_streamed_welch_rejects_too_few_samples():

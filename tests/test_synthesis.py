@@ -365,6 +365,18 @@ def test_pair_bits_do_not_depend_on_cpu_count(monkeypatch, cpus, holo_scale):
     assert pair.ch1.tobytes() == (serial.common + shot1).tobytes()
 
 
+def test_closing_the_blocks_early_ends_their_threads(monkeypatch):
+    # On two CPUs the pool starts with the first block and is drawing the
+    # second when the iterator is closed.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads_before = threading.active_count()
+    blocks = synthesis.synthesize_blocks(ExperimentConfig(n_samples=2**20, seed=3))
+    next(blocks)
+    assert threading.active_count() > threads_before
+    blocks.close()
+    assert threading.active_count() == threads_before
+
+
 @pytest.mark.parametrize("holo_scale,shot_asd", [(1.0, 2e-18), (0.0, 2e-18), (1.0, 0.0)])
 def test_pair_bits_do_not_depend_on_block_size(monkeypatch, holo_scale, shot_asd):
     # Blocks that do not divide n, and blocks shorter than the look-ahead,
