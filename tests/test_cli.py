@@ -397,7 +397,7 @@ def peak_rss_mb(argv, stderr_path, code=0):
                                 stdout=subprocess.DEVNULL, stderr=stderr,
                                 preexec_fn=lambda: None)
         _, status, usage = os.wait4(proc.pid, 0)
-        # Told, Popen does not warn that the child it can no longer reap runs on.
+        # Popen warns, when collected, about a child it has not seen exit.
         proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == code, stderr_path.read_text()
     return usage.ru_maxrss / 1024

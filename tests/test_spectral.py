@@ -217,8 +217,8 @@ def whole_chunk_spectra(pair, seg):
 
 @pytest.mark.parametrize("rows", [1, 13, 32, 100])
 def test_welch_bits_do_not_depend_on_fft_batch(monkeypatch, cpus, parity_pair, rows):
-    # Batches of other than 32 rows cut chunks into pieces, and the row sums
-    # carry across the cuts.
+    # Batches of fewer than 32 rows cut chunks into pieces, and the row sums
+    # carry across the cuts; a batch of more stops at the end of its chunk.
     monkeypatch.setattr(spectral, "FFT_BATCH_SAMPLES", rows * SEG)
     assert welch_bits(parity_pair)[:3] == whole_chunk_spectra(parity_pair, SEG)
 
