@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Time the CSV layer: formatting a dump-shaped block and parsing it back.
+
+Synthesizes a ``simulate --dump-timeseries`` block (time, ch1, ch2, common)
+of ``--rows`` rows, then times, each as the median of ``--repeats`` runs in
+this process:
+
+- ``format_block_s``: ``cli._format_block``, the numpy ``%.17g`` row kernel;
+- ``per_value_format_s``: the same rows through Python's ``%`` one value at
+  a time, the reference the kernel must equal byte for byte;
+- ``parse_range_s``: ``cli._parse_range`` on the formatted bytes, which must
+  give back the block bit for bit.
+
+The result is printed as one JSON object.
+
+    python scripts/time_csv_layer.py --rows 65536 --repeats 7
+"""
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+from holonoise import ExperimentConfig, synthesize_pair
+from holonoise.cli import _format_block, _parse_range
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--rows", type=int, default=2**16, help="a power of two >= 1024")
+    ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--seed", type=int, default=0)
+    return ap.parse_args(argv)
+
+
+def median_time(func, repeats: int):
+    """The median wall time of ``repeats`` calls of ``func``, and its last result."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = func()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), result
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    config = ExperimentConfig(n_samples=args.rows, seed=args.seed, segment_length=1024)
+    pair = synthesize_pair(config)
+    times = np.arange(args.rows) / pair.sample_rate
+    block = np.column_stack([times, pair.ch1, pair.ch2, pair.common])
+
+    template = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    format_s, data = median_time(lambda: _format_block(("", block)), args.repeats)
+    reference_s, expected = median_time(
+        lambda: (template * len(block) % tuple(block.ravel().tolist())).encode(), args.repeats)
+    if data != expected:
+        sys.exit("the row kernel's bytes differ from per-value formatting")
+
+    with tempfile.TemporaryFile() as handle:
+        handle.write(data)
+        handle.flush()
+        task = (handle.fileno(), 0, len(data))
+        parse_s, parsed = median_time(lambda: _parse_range(task), args.repeats)
+    if parsed.tobytes() != block.tobytes():
+        sys.exit("parsing the formatted block does not give it back bit for bit")
+
+    print(json.dumps({
+        "rows": args.rows,
+        "columns": block.shape[1],
+        "bytes": len(data),
+        "repeats": args.repeats,
+        "format_block_s": format_s,
+        "per_value_format_s": reference_s,
+        "parse_range_s": parse_s,
+        "cpus": os.cpu_count(),
+    }, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

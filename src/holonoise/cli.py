@@ -7,7 +7,9 @@ errors, 2 I/O errors, 64 usage errors.
 CSV outputs carry their metadata as ``#``-prefixed header comments and
 print floats with 17 significant digits, so a written series re-read from
 disk is bit-identical to the in-memory one and repeated runs of the same
-configuration produce byte-identical files.  CSVs are streamed in blocks of
+configuration produce byte-identical files.  Rows are the bytes that
+``%.17g`` gives each value, written by the numpy kernel
+`holonoise._format.format_rows`.  CSVs are streamed in blocks of
 ``CHUNK_ROWS`` rows and hashed as they are written; reading cuts the data
 into byte ranges of about ``RANGE_BYTES`` at line boundaries.  Blocks and
 ranges are formatted or parsed across the CPUs the process may use, and
@@ -41,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._format import format_rows
 from ._workers import ProcessMap
 from .constants import CONSTANTS
 from .detection import null_significance, predicted_snr
@@ -100,8 +103,8 @@ def _parse_band(text: str) -> tuple[float, float]:
 
 
 def _format_block(task: tuple[str, np.ndarray]) -> bytes:
-    row_template, block = task
-    return (row_template * len(block) % tuple(block.ravel().tolist())).encode()
+    prefix, block = task
+    return format_rows(block, prefix)
 
 
 def _csv_header(meta: dict, columns: list[str]) -> bytes:
@@ -157,9 +160,8 @@ class _Output:
 
     def rows(self, rows: np.ndarray, prefix: str = "") -> None:
         """CSV lines of a 2-D float array, each value at 17 digits."""
-        row_template = prefix + ",".join(["%.17g"] * rows.shape[1]) + "\n"
         for i in range(0, len(rows), CHUNK_ROWS):
-            for data in self.formatter.put((row_template, rows[i : i + CHUNK_ROWS])):
+            for data in self.formatter.put((prefix, rows[i : i + CHUNK_ROWS])):
                 self.write(data)
 
     def hexdigest(self) -> str:
@@ -222,11 +224,11 @@ class _Input:
                 if "=" in body:
                     key, _, val = body.partition("=")
                     self.meta[key.strip()] = val.strip()
-            size = os.fstat(self.handle.fileno()).st_size
+            self.size = size = os.fstat(self.handle.fileno()).st_size
             # Said before any header field is checked: the file is all header.
             if size == start:
                 raise DomainError(f"{self.path} has no data rows")
-            self.data_bytes = size - start
+            self.data_bytes = self.unread = size - start
             # Cut the data at the first newline after every RANGE_BYTES, so
             # each range holds whole lines.
             cuts = [start]
@@ -251,8 +253,9 @@ class _Input:
     def parts(self) -> Iterator[np.ndarray]:
         """The data rows as 2-D arrays, one per range that holds any, in file order.
 
-        While the caller holds a part, ``rows`` counts the rows before it;
-        once every part has been taken, it counts them all.
+        While the caller holds a part, ``rows`` counts the rows before it and
+        ``unread`` the data bytes after it; once every part has been taken,
+        ``rows`` counts them all.
         """
 
         def parsed():
@@ -261,7 +264,9 @@ class _Input:
             yield from self.parser.drain()
 
         try:
-            for part in parsed():
+            # Each range gives one result, in range order.
+            for (_, _, stop), part in zip(self.ranges, parsed()):
+                self.unread = self.size - stop
                 if len(part):  # a range of comment lines alone parses to no rows
                     yield part
                     self.rows += len(part)
@@ -539,20 +544,27 @@ def _read_timeseries(series: _Input) -> tuple[Iterator, float, int, float]:
     path = series.path
     sample_rate, segment_length, overlap = _header(series.meta, path, "timeseries",
                                                    TIMESERIES_FIELDS)
-    # A data row takes at least 8 bytes, "0,0,0,0\n" (7 for a last row without
-    # its newline), so a segment this file cannot hold is refused before a
-    # window that long is made.
-    most = (series.data_bytes + 1) // 8
-    if segment_length > most:
-        raise DomainError(f"timeseries file {path} is shorter than one segment "
-                          f"({segment_length}): its {series.data_bytes} data bytes hold "
-                          f"at most {most} rows")
+
+    def hold_a_segment(rows: int) -> None:
+        # A data row takes at least 8 bytes, "0,0,0,0\n" (7 for a last row
+        # without its newline), so the rows parsed and the bytes still unread
+        # bound the series.  Checked before a window that long is made, and
+        # again as parts arrive, so a forged segment length is refused before
+        # Welch carries the whole series.
+        most = rows + (series.unread + 1) // 8
+        if segment_length > most:
+            raise DomainError(f"timeseries file {path} is shorter than one segment "
+                              f"({segment_length}): its {series.data_bytes} data bytes hold "
+                              f"at most {most} rows")
+
+    hold_a_segment(0)
 
     def blocks():
         for part in series.parts():
             if part.shape[1] != 4:
                 raise DomainError(f"timeseries file {path} must have 4 columns, "
                                   f"found {part.shape[1]}")
+            hold_a_segment(series.rows + len(part))
             pair = TimeSeriesPair(sample_rate, part[:, 1], part[:, 2], part[:, 3])
             # Every time must be its row's sample time, finite, so an edited
             # row or rate is refused.

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import holonoise
-from holonoise import CONSTANTS, ExperimentConfig, HolographicModel
+from holonoise import CONSTANTS, ExperimentConfig, HolographicModel, cli
 from holonoise.cli import (
     CHUNK_ROWS,
     ENV_OUTPUT_DIR,
@@ -721,6 +721,19 @@ def huge_band_psds(rows):
         rows[k][5] = "0"
 
 
+def detect_edited(tmp_path, config_path, edit):
+    """``detect --band 0:1e6`` run on a copy of a spectra file whose rows ``edit`` changed."""
+    spectra = unvouched_spectra(tmp_path, config_path)
+    lines = spectra.read_text().splitlines()
+    head = [line for line in lines if line.startswith("#")]
+    rows = [line.split(",") for line in lines[len(head):]]
+    assert all(float(rows[k][3]) != 0.0 for k in BAND_ROWS)
+    edit(rows)
+    spectra.write_text("\n".join(head + [",".join(row) for row in rows]) + "\n")
+    return run_python("-m", "holonoise.cli", "detect", "--estimate", str(spectra),
+                      "--band", "0:1e6")
+
+
 @pytest.mark.parametrize("edit,reason", [
     (negate_psd1, "negative PSD"),
     (nan_psd1, "non-finite"),
@@ -729,26 +742,27 @@ def huge_band_psds(rows):
     (halve_coherence, "coherence"),
     (huge_csd_re, "exceeds psd1 * psd2"),
     (huge_psds, "float range"),
-    (huge_band_psds, "null variance nan is no z-score"),
 ])
 def test_detect_rejects_inconsistent_columns(tmp_path, config_path, edit, reason):
     # The first five edits used to exit 0: sigma 0.0 for the first, second
     # and fourth, and a "sigma_level": Infinity that is not JSON for the
-    # third.  The last three were refused only after numpy's overflow warnings.
-    spectra = unvouched_spectra(tmp_path, config_path)
-    lines = spectra.read_text().splitlines()
-    head = [line for line in lines if line.startswith("#")]
-    rows = [line.split(",") for line in lines[len(head):]]
-    assert all(float(rows[k][3]) != 0.0 for k in BAND_ROWS)
-    edit(rows)
-    spectra.write_text("\n".join(head + [",".join(row) for row in rows]) + "\n")
-    proc = run_python("-m", "holonoise.cli", "detect", "--estimate", str(spectra),
-                      "--band", "0:1e6")
+    # third.  The last two were refused only after numpy's overflow warnings.
+    proc = detect_edited(tmp_path, config_path, edit)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert reason in proc.stderr
+
+
+def test_detect_scores_in_band_psds_near_the_float_range(tmp_path, config_path):
+    # PSDs of 1e152 pass every column check; the null variance squares them
+    # again, and used to overflow to nan and exit 1.
+    proc = detect_edited(tmp_path, config_path, huge_band_psds)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    sigma = json.loads(proc.stdout)["sigma_level"]
+    assert math.isfinite(sigma) and sigma != 0.0
 
 
 def test_detect_refuses_a_file_edited_after_its_manifest(tmp_path, config_path):
@@ -865,6 +879,33 @@ def test_analyze_refuses_a_dump_that_does_not_vouch_for_itself(tmp_path, dumped_
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert reason in proc.stderr
+
+
+def test_analyze_refuses_a_forged_segment_length_before_the_last_range(
+        tmp_path, dumped_series, monkeypatch, capsys):
+    # 65536 passes the up-front bound of data bytes / 8, but not the bound of
+    # rows parsed plus unread bytes / 8 once most ranges are in; Welch used to
+    # carry the whole series before refusing it.
+    text, _ = dumped_series
+    bad = tmp_path / "timeseries.csv"
+    bad.write_text(text.replace("# segment_length = 1024\n", "# segment_length = 65536\n"))
+    data_bytes = len(text.encode()) - text.index("\n0,") - 1
+    assert data_bytes // 8 > 65536
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "RANGE_BYTES", 1 << 12)
+    parse_range, stops = cli._parse_range, []
+
+    def recorded(task):
+        stops.append(task[2])
+        return parse_range(task)
+
+    monkeypatch.setattr(cli, "_parse_range", recorded)
+    assert main(["analyze", "--timeseries", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: timeseries file {bad} is shorter than one segment (65536): "
+                          f"its {data_bytes} data bytes hold at most ")
+    assert len(err.splitlines()) == 1
+    assert max(stops) < bad.stat().st_size
 
 
 def test_analyze_refuses_a_sample_too_large_to_square(tmp_path, dumped_series):

@@ -306,6 +306,21 @@ def test_null_variance_is_the_exact_bilinear_form_variance():
             overlap, band, detrend)
 
 
+def test_null_variance_scales_exactly_up_to_the_float_range():
+    # PSDs scaled by 2^s give a variance scaled by exactly 2^(2s): the bits
+    # of today's variances are kept, and PSDs near 1e152, which the
+    # transforms used to overflow on, get a finite one.
+    cfg = ExperimentConfig(holo_scale=0.0, n_samples=2**15, seed=4, segment_length=1024)
+    est = welch_csd(synthesize_pair(cfg), 1024)
+    idx = band_indices(est.freqs, (0.0, 1e6))
+    base = band_statistic_null_variance(est, idx)
+    for shift in (-300, 300, 625):
+        scaled = dataclasses.replace(est, psd1=np.ldexp(est.psd1, shift),
+                                     psd2=np.ldexp(est.psd2, shift))
+        assert band_statistic_null_variance(scaled, idx) == math.ldexp(base, 2 * shift)
+    assert np.max(scaled.psd1[idx]) > 1e152
+
+
 @pytest.mark.parametrize("overlap,band", [
     (0.5, (0.0, 1e6)),
     (0.75, (2e5, 3e5)),

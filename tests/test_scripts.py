@@ -1,8 +1,9 @@
-"""Smoke tests of the experiment scripts under ``scripts/``.
+"""Smoke tests of the scripts under ``scripts/``.
 
-Both scripts call `null_significance` on every replica, so they run here as
-fresh processes at a few replicas each (about a quarter second apiece) and
-must finish cleanly.
+The two experiment scripts call `null_significance` on every replica, so
+they run here as fresh processes at a few replicas each (about a quarter
+second apiece), and the CSV layer timer on one small block; each must
+finish cleanly.
 """
 
 import os
@@ -21,6 +22,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("run_null_calibration.py", ["--replicas", "4"]),
     ("run_snr_scaling.py",
      ["--replicas", "2", "--n-avgs", "50", "100", "--segment-length", "1024"]),
+    ("time_csv_layer.py", ["--rows", "4096", "--repeats", "1"]),
 ])
 def test_script_runs(script, args):
     # The child finds holonoise where this interpreter found it.
