@@ -7,7 +7,17 @@ common component through Welch cross-spectra with calibrated detection
 statistics.  See the README for the command-line interface.
 """
 
-__version__ = "0.10.0"
+import os
+import sys
+
+# No holonoise result goes through BLAS, so OpenBLAS's thread pool, which
+# numpy starts at import with one busy-waiting worker per CPU, only burns
+# CPU.  OpenBLAS reads its thread count once, when numpy first loads it, so
+# the pin takes effect only before that, and a value set by the user wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+__version__ = "0.11.0"
 
 from .constants import CONSTANTS, PhysicalConstants, codata_constants
 from .detection import (

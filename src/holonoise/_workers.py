@@ -7,7 +7,11 @@ is the only control, and with one CPU nothing is started at all.
 and parsing, and returns results in item order, so a caller that combines
 them in that order gets the same bits on any CPU count.  `thread_count`
 sizes the thread pool of synthesis, for numpy work that releases the GIL.
-Pool modules are imported only when a pool is started.
+Pool modules are imported only when a pool is started.  numpy's BLAS,
+OpenBLAS, keeps a pool of its own, one busy-waiting worker per CPU started
+when numpy is loaded; no holonoise result goes through BLAS, so
+``holonoise/__init__.py`` pins it to the calling thread before numpy is
+imported, and it is never started.
 """
 
 from __future__ import annotations

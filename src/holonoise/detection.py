@@ -170,9 +170,9 @@ def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) ->
         spec = np.fft.rfft(amp, nfft)
         auto = np.fft.irfft(spec * np.conjugate(spec), nfft)[:n_bins]
         conv = np.fft.irfft(spec * spec, nfft)[: 2 * n_bins - 1]
-        diff_sum = 2.0 * float(np.dot(auto, kernel[:n_bins])) - float(auto[0] * kernel[0])
-        image_sum = float(np.dot(conv, kernel[(2 * idx[0] + np.arange(len(conv))) % length]))
-        norm = 2.0 * n_avg**2 * n_bins**2 * float(np.dot(win, win)) ** 2
+        diff_sum = 2.0 * float(np.sum(auto * kernel[:n_bins])) - float(auto[0] * kernel[0])
+        image_sum = float(np.sum(conv * kernel[(2 * idx[0] + np.arange(len(conv))) % length]))
+        norm = 2.0 * n_avg**2 * n_bins**2 * float(np.sum(win * win)) ** 2
         return float(np.ldexp((diff_sum + image_sum) / norm, 2 * k))
 
 

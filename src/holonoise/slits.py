@@ -135,9 +135,9 @@ def _pattern_distance(p: np.ndarray, q: np.ndarray) -> float:
     Equals sqrt(1 - r^2) for cosine similarity r; bounded in [0, 1] and zero
     iff the patterns are proportional.
     """
-    pn = p / np.linalg.norm(p)
-    qn = q / np.linalg.norm(q)
-    r = float(np.dot(pn, qn))
+    pn = p / math.sqrt(np.sum(p * p))
+    qn = q / math.sqrt(np.sum(q * q))
+    r = float(np.sum(pn * qn))
     return math.sqrt(max(0.0, 1.0 - r * r))
 
 

@@ -157,7 +157,7 @@ def welch_blocks(
     """
     check_segment_length(segment_length)
     step = segment_step(segment_length, overlap)
-    win = hann_window(segment_length)
+    win = None  # made with the first whole segment, so a series too short makes none
     n_freq = segment_length // 2 + 1
     rows = min(SEGMENT_CHUNK, max(1, FFT_BATCH_SAMPLES // segment_length))
     scratch = np.empty(max(rows * segment_length, 2 * (rows + 1) * n_freq))
@@ -176,7 +176,9 @@ def welch_blocks(
             """Sum segments ``first`` to ``stop``, which ``segments`` holds from
             ``first`` on, a batch of at most ``rows`` at a time.  A batch ends
             at the end of its chunk, whose sums then join the totals."""
-            nonlocal totals, csd
+            nonlocal totals, csd, win
+            if win is None:
+                win = hann_window(segment_length)
             lo = first
             while lo < stop:
                 k = min(rows, stop - lo, SEGMENT_CHUNK - lo % SEGMENT_CHUNK)
@@ -239,7 +241,7 @@ def welch_blocks(
             totals += power
             csd += cross
         # One-sided density: every bin but DC and Nyquist carries both signs.
-        scale = np.full(n_freq, 2.0 / (sample_rate * float(np.dot(win, win)) * done))
+        scale = np.full(n_freq, 2.0 / (sample_rate * float(np.sum(win * win)) * done))
         scale[0] /= 2.0
         scale[-1] /= 2.0
         psd1, psd2 = totals * scale

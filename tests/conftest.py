@@ -16,6 +16,11 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(params=[1, 2])
 def cpus(request, monkeypatch):
-    """The CPU count seen through ``os.sched_getaffinity``: 1, then 2."""
+    """The CPU count seen through ``os.sched_getaffinity``: 1, then 2.
+
+    Only ``os.sched_getaffinity`` is patched, so this sizes holonoise's own
+    threads and worker processes; a native pool, such as OpenBLAS's, never
+    reads it and keeps the count it took when its library was loaded.
+    """
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
     return request.param

@@ -2,7 +2,8 @@
 
 Everything runs in-process through ``main(argv)`` so exit codes and file
 outputs are asserted directly, except the checks that need a fresh
-interpreter (no traceback on stderr, what ``import holonoise.cli`` loads);
+interpreter (no traceback on stderr, what ``import holonoise.cli`` loads and
+starts, the same bytes on one BLAS thread and on two);
 one smoke test exercises the installed console script if present.  Simulation configs are kept small (2^15
 samples); the CSV block and byte-range tests share one 3-block, ~19 MB table,
 and the streamed ``analyze`` tests two dumps of 2^18 and 2^20 samples
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 import holonoise
-from holonoise import CONSTANTS, ExperimentConfig, HolographicModel, cli
+from holonoise import CONSTANTS, ExperimentConfig, HolographicModel, cli, spectral
 from holonoise.cli import (
     CHUNK_ROWS,
     ENV_OUTPUT_DIR,
@@ -54,9 +55,10 @@ def config_path(tmp_path):
     return path
 
 
-def run_python(*args):
+def run_python(*args, env=None):
     """Run a fresh interpreter, which inherits how this one finds holonoise."""
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env=env)
 
 
 def unvouched_spectra(tmp_path, config_path):
@@ -330,7 +332,7 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
     assert "common pieces=0, increments=3 (Brownian-difference moving sum)" in manifest["prng"]
-    assert manifest["version"] == holonoise.__version__ == "0.10.0"
+    assert manifest["version"] == holonoise.__version__ == "0.11.0"
     assert manifest["numpy_version"] == np.__version__
     import hashlib
 
@@ -885,7 +887,7 @@ def test_analyze_refuses_a_forged_segment_length_before_the_last_range(
         tmp_path, dumped_series, monkeypatch, capsys):
     # 65536 passes the up-front bound of data bytes / 8, but not the bound of
     # rows parsed plus unread bytes / 8 once most ranges are in; Welch used to
-    # carry the whole series before refusing it.
+    # carry the whole series, and make a window that long, before refusing it.
     text, _ = dumped_series
     bad = tmp_path / "timeseries.csv"
     bad.write_text(text.replace("# segment_length = 1024\n", "# segment_length = 65536\n"))
@@ -900,12 +902,20 @@ def test_analyze_refuses_a_forged_segment_length_before_the_last_range(
         return parse_range(task)
 
     monkeypatch.setattr(cli, "_parse_range", recorded)
+    hann_window, windows = spectral.hann_window, []
+
+    def window(length):
+        windows.append(length)
+        return hann_window(length)
+
+    monkeypatch.setattr(spectral, "hann_window", window)
     assert main(["analyze", "--timeseries", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: timeseries file {bad} is shorter than one segment (65536): "
                           f"its {data_bytes} data bytes hold at most ")
     assert len(err.splitlines()) == 1
     assert max(stops) < bad.stat().st_size
+    assert windows == []
 
 
 def test_analyze_refuses_a_sample_too_large_to_square(tmp_path, dumped_series):
@@ -1001,6 +1011,53 @@ def test_cli_import_does_not_load_scipy_signal(tmp_path, config_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == lines[-1] == "[False, False, False]"
+
+
+def blas_env(threads):
+    """This environment with ``OPENBLAS_NUM_THREADS`` set to ``threads``, or removed for None."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+def test_output_bits_do_not_depend_on_blas_threads(tmp_path):
+    # At L = 32768 a dot product of the window with itself used to run on
+    # every BLAS thread, and round differently on one thread than on two; so
+    # did the slit pattern norms of a 20000-angle sweep.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, "n_samples": 2**19, "segment_length": 32768}))
+    outputs = []
+    for threads in ("1", "2"):
+        run = tmp_path / threads
+        simulate = run_python("-m", "holonoise.cli", "simulate", "--config", str(config),
+                              "--output-dir", str(run), env=blas_env(threads))
+        sweep = run_python("-m", "holonoise.cli", "slits", "--screen-distance", "1", "--sweep",
+                           "--n-angles", "20000", env=blas_env(threads))
+        assert simulate.returncode == sweep.returncode == 0, simulate.stderr + sweep.stderr
+        outputs.append([(run / "spectra.csv").read_bytes(), (run / "report.json").read_bytes(),
+                        sweep.stdout])
+    assert json.loads(outputs[0][1])["n_avg"] == 31
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_starts_no_thread():
+    # numpy's OpenBLAS starts one busy-waiting worker per CPU at import
+    # unless its thread count is pinned before; holonoise needs none.
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    script = ("import os, holonoise.cli\n"
+              "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    proc = run_python("-c", script, env=blas_env(None))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+
+
+def test_cli_import_keeps_a_blas_thread_count_already_set():
+    proc = run_python("-c", "import os, holonoise.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])",
+                      env=blas_env("2"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"]
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path, config_path):
