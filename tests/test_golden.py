@@ -1,0 +1,106 @@
+"""Golden output bits: the SHA-256 of what fixed runs write, checked across commits.
+
+Each output is hashed with its ``# holonoise v…`` line removed, so a version
+bump alone does not change the table.  The bits are numpy's (its Philox
+normals and pocketfft), so ``tests/golden.json`` is keyed by numpy
+``major.minor``; on a numpy with no entry the test skips and names the
+version.  Every run is made at 1 and 2 CPUs (the ``cpus`` fixture), so the
+table also holds the bits to not depending on the CPU count.  A change
+that moves a digest updates the table, bumps the version and names each
+changed output in CHANGES.md.  To print the table for the numpy at hand:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from holonoise.cli import main
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+#: The README's example config.
+README_CONFIG = {
+    "arm_length": 40.0,
+    "shot_asd": 2e-18,
+    "sample_rate": 5e7,
+    "n_samples": 4194304,
+    "seed": 0,
+    "holo_scale": 1.0,
+    "segment_length": 8192,
+    "overlap": 0.5,
+}
+
+
+def numpy_key() -> str:
+    return ".".join(np.__version__.split(".")[:2])
+
+
+def digest(path: Path) -> str:
+    """SHA-256 of a file without its ``# holonoise v`` line."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"# holonoise v"))).hexdigest()
+
+
+def simulate(tmp_path: Path, config: dict, *flags: str) -> Path:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--output-dir", str(out), *flags]) == 0
+    return out
+
+
+def readme_default(tmp_path: Path, seed: int) -> dict:
+    out = simulate(tmp_path, dict(README_CONFIG, seed=seed))
+    return {name: digest(out / name) for name in ("spectra.csv", "report.json")}
+
+
+def dump_and_analyze(tmp_path: Path) -> dict:
+    out = simulate(tmp_path, dict(README_CONFIG, n_samples=2**18, segment_length=1024),
+                   "--dump-timeseries")
+    analyzed = tmp_path / "analyzed.csv"
+    assert main(["analyze", "--timeseries", str(out / "timeseries.csv"),
+                 "--output", str(analyzed)]) == 0
+    names = ("timeseries.csv", "spectra.csv", "report.json")
+    return {**{name: digest(out / name) for name in names}, "analyze": digest(analyzed)}
+
+
+def slits(tmp_path: Path) -> dict:
+    # 2^17 rows: more than one CSV block, so at 2 CPUs they go through the workers.
+    out = tmp_path / "pattern.csv"
+    assert main(["slits", "--screen-distance", "1", "--n-angles", str(2**17),
+                 "--output", str(out)]) == 0
+    return {"pattern.csv": digest(out)}
+
+
+RUNS = {
+    "simulate-readme-seed0": lambda tmp_path: readme_default(tmp_path, 0),
+    "simulate-readme-seed1": lambda tmp_path: readme_default(tmp_path, 1),
+    "simulate-dump-2^18-L1024": dump_and_analyze,
+    "slits-2^17": slits,
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_output_bits_match_the_golden_table(tmp_path, run, cpus):
+    table = json.loads(GOLDEN.read_text())
+    if numpy_key() not in table:
+        pytest.skip(f"tests/golden.json has no digests for numpy {numpy_key()}")
+    assert RUNS[run](tmp_path) == table[numpy_key()][run]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import tempfile
+
+    entry = {}
+    for name, run in sorted(RUNS.items()):
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+            entry[name] = run(Path(tmp))
+    json.dump({numpy_key(): entry}, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
