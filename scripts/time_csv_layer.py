@@ -2,12 +2,16 @@
 """Time the CSV layer: formatting a dump-shaped block and parsing it back.
 
 Synthesizes a ``simulate --dump-timeseries`` block (time, ch1, ch2, common)
-of ``--rows`` rows, then times, each as the median of ``--repeats`` runs in
-this process:
+of ``--rows`` rows, then times, each as the median of ``--repeats`` runs
+from this process:
 
-- ``format_block_s``: ``cli._format_block``, the numpy ``%.17g`` row kernel;
+- ``format_block_s``: ``_format.format_rows``, the numpy ``%.17g`` row
+  kernel that formats each CSV block;
 - ``per_value_format_s``: the same rows through Python's ``%`` one value at
   a time, the reference the kernel must equal byte for byte;
+- ``write_csv_s``: ``cli._write_csv`` of the block to a file, the path
+  ``simulate --dump-timeseries`` runs, on the CPUs this process may use
+  (``cpus``), in blocks of ``cli.CHUNK_ROWS`` rows;
 - ``parse_range_s``: ``cli._parse_range`` on the formatted bytes, which must
   give back the block bit for bit.
 
@@ -18,16 +22,17 @@ The result is printed as one JSON object.
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from holonoise import ExperimentConfig, synthesize_pair
-from holonoise.cli import _format_block, _parse_range
+from holonoise import ExperimentConfig, cli, synthesize_pair
+from holonoise._format import format_rows
+from holonoise._workers import cpu_count
 
 
 def parse_args(argv=None):
@@ -56,17 +61,24 @@ def main(argv=None) -> int:
     block = np.column_stack([times, pair.ch1, pair.ch2, pair.common])
 
     template = ",".join(["%.17g"] * block.shape[1]) + "\n"
-    format_s, data = median_time(lambda: _format_block(("", block)), args.repeats)
+    format_s, data = median_time(lambda: format_rows(block), args.repeats)
     reference_s, expected = median_time(
         lambda: (template * len(block) % tuple(block.ravel().tolist())).encode(), args.repeats)
     if data != expected:
         sys.exit("the row kernel's bytes differ from per-value formatting")
 
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "timeseries.csv"
+        columns = cli.TIMESERIES_COLUMNS
+        write_s, _ = median_time(lambda: cli._write_csv(path, {}, columns, block), args.repeats)
+        if path.read_bytes() != cli._csv_header({}, columns) + expected:
+            sys.exit("the written file differs from per-value formatting")
+
     with tempfile.TemporaryFile() as handle:
         handle.write(data)
         handle.flush()
         task = (handle.fileno(), 0, len(data))
-        parse_s, parsed = median_time(lambda: _parse_range(task), args.repeats)
+        parse_s, parsed = median_time(lambda: cli._parse_range(task), args.repeats)
     if parsed.tobytes() != block.tobytes():
         sys.exit("parsing the formatted block does not give it back bit for bit")
 
@@ -77,8 +89,10 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "format_block_s": format_s,
         "per_value_format_s": reference_s,
+        "write_csv_s": write_s,
         "parse_range_s": parse_s,
-        "cpus": os.cpu_count(),
+        "chunk_rows": cli.CHUNK_ROWS,
+        "cpus": cpu_count(),
     }, indent=2))
     return 0
 

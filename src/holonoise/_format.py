@@ -173,6 +173,11 @@ def _layout(d: np.ndarray, x10: np.ndarray, neg: np.ndarray, buf: np.ndarray) ->
         buf[slot] = char
 
 
+def row_bytes(columns: int, prefix: str = "") -> int:
+    """Bytes a line of ``columns`` values after ``prefix`` takes at most."""
+    return len(prefix.encode()) + columns * SLOTS
+
+
 def format_rows(block: np.ndarray, prefix: str = "") -> bytes:
     """``%.17g`` CSV lines of a 2-D float array, each line after ``prefix``,
     formatted PASS_VALUES values at a time."""

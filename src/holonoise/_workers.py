@@ -5,13 +5,15 @@ the process's CPU affinity mask (``os.sched_getaffinity``), so ``taskset``
 is the only control, and with one CPU nothing is started at all.
 `ProcessMap` forks processes, for pure-Python work such as CSV formatting
 and parsing, and returns results in item order, so a caller that combines
-them in that order gets the same bits on any CPU count.  `thread_count`
-sizes the thread pool of synthesis, for numpy work that releases the GIL.
-Pool modules are imported only when a pool is started.  numpy's BLAS,
-OpenBLAS, keeps a pool of its own, one busy-waiting worker per CPU started
-when numpy is loaded; no holonoise result goes through BLAS, so
-``holonoise/__init__.py`` pins it to the calling thread before numpy is
-imported, and it is never started.
+them in that order gets the same bits on any CPU count.  The workers
+inherit the function they run when they fork, so it may hold what cannot be
+pickled, such as memory shared with them (the CSV writer's ring).
+`thread_count` sizes the thread pool of synthesis, for numpy work that
+releases the GIL.  Pool modules are imported only when a pool is started.
+numpy's BLAS, OpenBLAS, keeps a pool of its own, one busy-waiting worker
+per CPU started when numpy is loaded; no holonoise result goes through
+BLAS, so ``holonoise/__init__.py`` pins it to the calling thread before
+numpy is imported, and it is never started.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from collections.abc import Iterator
 #: faster on two threads, and a 2^15-sample Monte Carlo replica slower.
 MIN_THREAD_WORK = 1 << 19
 
+#: In a worker of a `ProcessMap`, the function it maps.
+_func = None
+
 
 def cpu_count() -> int:
     """CPUs this process may run on; 1 where there is no affinity mask."""
@@ -35,21 +40,26 @@ def cpu_count() -> int:
 class ProcessMap:
     """``func`` over items put one at a time, results in put order, on forked processes.
 
-    ``expected`` is how many items will be put; for fewer than two, or a
-    single CPU, everything runs in the calling process and no worker is
-    started, and so on platforms without an affinity mask.  Otherwise the
-    workers are forked on entering the ``with`` block, so a caller that
-    enters it before starting any thread never forks a process with live
-    threads.  Workers inherit the parent's open files and loaded modules and
-    run only ``func``.  At most two items per worker are in flight, so each
-    has one queued behind the one it works on, and a result is handed back
-    as soon as it and those before it are ready: the memory held for
-    results does not grow with the number of items.
+    ``useful`` is the most workers the items can keep busy, at most one per
+    item; for fewer than two, or a single CPU, everything runs in the
+    calling process and no worker is started, and so on platforms without
+    an affinity mask.  Otherwise the workers are forked on entering the
+    ``with`` block, so a caller that enters it before starting any thread
+    never forks a process with live threads.  Workers inherit the parent's
+    open files and loaded modules, and ``func`` itself, and run only
+    ``func``; only items and results are pickled.  At most two items per
+    worker are in flight, so each has one queued behind the one it works
+    on, and a result is handed back as soon as it and those before it are
+    ready: the memory held for results does not grow with the number of
+    items.  ``in_flight``, 2 * workers + 1, bounds the items put and not yet
+    used, counting the results a `put` returns as in use until the next
+    `put`.
     """
 
-    def __init__(self, func, expected: int):
+    def __init__(self, func, useful: int):
         self.func = func
-        self.workers = min(cpu_count(), expected)
+        self.workers = min(cpu_count(), useful)
+        self.in_flight = 2 * self.workers + 1
         self.pending: deque = deque()
         self.pool = None
 
@@ -61,7 +71,8 @@ class ProcessMap:
             # exits; flushing first keeps it from writing them a second time.
             sys.stdout.flush()
             sys.stderr.flush()
-            self.pool = multiprocessing.get_context("fork").Pool(self.workers)
+            self.pool = multiprocessing.get_context("fork").Pool(self.workers, _inherit,
+                                                                 (self.func,))
         return self
 
     def __exit__(self, *exc) -> None:
@@ -73,9 +84,9 @@ class ProcessMap:
         """Queue ``item``; the results now due, oldest first."""
         if self.pool is None:
             return [self.func(item)]
-        self.pending.append(self.pool.apply_async(self.func, (item,)))
+        self.pending.append(self.pool.apply_async(_call, (item,)))
         due = []
-        while self.pending and (len(self.pending) > 2 * self.workers or self.pending[0].ready()):
+        while self.pending and (len(self.pending) >= self.in_flight or self.pending[0].ready()):
             due.append(self.pending.popleft().get())
         return due
 
@@ -83,6 +94,15 @@ class ProcessMap:
         """The results still due, in put order."""
         while self.pending:
             yield self.pending.popleft().get()
+
+
+def _inherit(func) -> None:
+    global _func
+    _func = func
+
+
+def _call(item):
+    return _func(item)
 
 
 def thread_count(items: int, work: int) -> int:

@@ -5,19 +5,22 @@ outputs are asserted directly, except the checks that need a fresh
 interpreter (no traceback on stderr, what ``import holonoise.cli`` loads and
 starts, the same bytes on one BLAS thread and on two);
 one smoke test exercises the installed console script if present.  Simulation configs are kept small (2^15
-samples); the CSV block and byte-range tests share one 3-block, ~19 MB table,
+samples); the CSV block and byte-range tests share one 3 * 2^16-row, ~19 MB table,
 and the streamed ``analyze`` tests two dumps of 2^18 and 2^20 samples
 (~24 and ~94 MB), so the whole module stays around half a minute.
 """
 
+import gc
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -25,16 +28,19 @@ import pytest
 
 import holonoise
 from holonoise import CONSTANTS, ExperimentConfig, HolographicModel, cli, spectral
+from holonoise._format import row_bytes
 from holonoise.cli import (
     CHUNK_ROWS,
     ENV_OUTPUT_DIR,
     PRNG_IDENTIFIER,
     RANGE_BYTES,
     _Input,
+    _Output,
     _write_csv,
     load_config,
     main,
 )
+from holonoise.errors import DomainError
 
 SMALL_CONFIG = {
     "arm_length": 40.0,
@@ -146,8 +152,14 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
 
 @pytest.fixture(scope="module")
 def block_rows():
-    """3 blocks and 5 rows of awkward values, and their per-value CSV text."""
-    rows = np.random.default_rng(7).standard_normal((3 * CHUNK_ROWS + 5, 4))
+    """3 * 2^16 + 5 rows of awkward values, and their per-value CSV text.
+
+    The size is fixed rather than a multiple of CHUNK_ROWS, so a change of
+    block size does not shrink it: it spans more CSV blocks than the ring
+    of two workers has slots, and more than two RANGE_BYTES of text.
+    """
+    rows = np.random.default_rng(7).standard_normal((3 * 2**16 + 5, 4))
+    assert len(rows) > CHUNK_ROWS * (2 * 2 + 1)
     rows *= 10.0 ** np.random.default_rng(8).integers(-300, 300, rows.shape)
     rows[0] = [-0.0, 1e300, 5e-324, 0.1]
     rows[-1] = [5e-324, -0.0, 1e300, -2.5e-17]
@@ -164,6 +176,80 @@ def test_csv_blocks_match_per_value_formatting_on_any_cpu_count(tmp_path, block_
     data = path.read_bytes()
     assert data == expected
     assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_prefixed_csv_blocks_wrap_the_ring(tmp_path, block_rows, cpus):
+    rows, expected = block_rows
+    body = expected.split(b"\n", 3)[3]  # below the three header lines
+    path = tmp_path / "prefixed.csv"
+    with _Output(path, len(rows), row_bytes(4, "psd,")) as out:
+        out.rows(rows, "psd,")
+    if cpus > 1:  # 13 blocks through the 5 slots of two workers' ring
+        assert out.puts == -(-len(rows) // CHUNK_ROWS) > out.formatter.in_flight
+    data = path.read_bytes()
+    assert data == b"".join(b"psd," + line for line in body.splitlines(keepends=True))
+    assert out.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_ring_slots_are_not_reused_before_a_slow_writer_is_done(tmp_path, block_rows,
+                                                                monkeypatch):
+    # Three workers on two cores, and a writer that waits before it reads
+    # each slot, longer than a worker takes to format a block: each block
+    # put is formatted while the one put in_flight - 1 puts before it waits
+    # to be written, so a ring with a slot fewer would lose that one.
+    rows, expected = block_rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    write_slot = _Output.write_slot
+
+    def slow(self, start, length):
+        time.sleep(0.1)
+        write_slot(self, start, length)
+
+    monkeypatch.setattr(_Output, "write_slot", slow)
+    path = tmp_path / "blocks.csv"
+    _write_csv(path, {"sample_rate_hz": 5e7}, ["a", "b", "c", "d"], rows)
+    assert path.read_bytes() == expected
+
+
+def test_output_failing_with_blocks_in_flight_stops_its_workers(tmp_path, block_rows,
+                                                                monkeypatch):
+    rows, _ = block_rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match="stop here"):
+            with _Output(tmp_path / "rows.csv", len(rows), row_bytes(4)) as out:
+                out.rows(rows[: 4 * CHUNK_ROWS])
+                assert out.formatter.pending
+                workers = list(out.formatter.pool._pool)
+                raise DomainError("stop here")
+        assert out.handle.closed and out.ring.closed
+        del out
+        gc.collect()
+    assert workers and not any(worker.is_alive() for worker in workers)
+    assert not multiprocessing.active_children()
+    assert caught == [] and unraisable == []
+
+
+def test_output_refuses_a_block_longer_than_its_ring_slot(tmp_path, monkeypatch):
+    # Every value takes all 25 bytes a value may, separator included, so the
+    # lines fill slots sized for 4 values exactly, and overflow them by their
+    # prefix.
+    rows = np.full((4 * CHUNK_ROWS, 4), -1.2345678901234567e-123)
+    line = b",".join([b"-1.2345678901234567e-123"] * 4) + b"\n"
+    assert len(line) == row_bytes(4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    path = tmp_path / "rows.csv"
+    with _Output(path, len(rows), row_bytes(4)) as out:
+        out.rows(rows)
+    assert path.read_bytes() == line * len(rows)
+    with pytest.raises(OverflowError, match="overflows its 1638400-byte ring slot"):
+        with _Output(path, len(rows), row_bytes(4)) as out:
+            out.rows(rows, "psd,")
+    assert out.handle.closed and out.ring.closed
+    assert path.read_bytes() == b""
 
 
 def test_read_csv_multi_range_is_bit_exact(tmp_path, block_rows, cpus):
@@ -217,7 +303,7 @@ def test_analyze_header_only_file(tmp_path, capsys):
 def test_multi_block_stdout_matches_file(tmp_path):
     # Forked workers must not repeat the header already buffered for stdout.
     argv = ["-m", "holonoise.cli", "slits", "--screen-distance", "1",
-            "--n-angles", str(2 * CHUNK_ROWS + 1)]
+            "--n-angles", str(4 * CHUNK_ROWS + 1)]
     out = tmp_path / "pattern.csv"
     assert run_python(*argv, "--output", str(out)).returncode == 0
     proc = run_python(*argv)

@@ -2,8 +2,9 @@
 
 The two experiment scripts call `null_significance` on every replica, so
 they run here as fresh processes at a few replicas each (about a quarter
-second apiece), the CSV layer timer on one small block, and the start-up
-timer at one run of each command; each must finish cleanly.
+second apiece), the CSV layer timer on one block of 2^16 rows (enough for
+its ``_write_csv`` to fork workers where there are two CPUs), and the
+start-up timer at one run of each command; each must finish cleanly.
 """
 
 import os
@@ -22,7 +23,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("run_null_calibration.py", ["--replicas", "4"]),
     ("run_snr_scaling.py",
      ["--replicas", "2", "--n-avgs", "50", "100", "--segment-length", "1024"]),
-    ("time_csv_layer.py", ["--rows", "4096", "--repeats", "1"]),
+    ("time_csv_layer.py", ["--rows", "65536", "--repeats", "1"]),
     ("time_cli_start.py", ["--repeats", "1"]),
 ])
 def test_script_runs(script, args):
