@@ -41,10 +41,10 @@ def numpy_key() -> str:
     return ".".join(np.__version__.split(".")[:2])
 
 
-def digest(path: Path) -> str:
-    """SHA-256 of a file without its ``# holonoise v`` line."""
+def digest(path: Path, drop: bytes = b"# holonoise v") -> str:
+    """SHA-256 of a file without its lines that start with ``drop``, by default its version line."""
     lines = path.read_bytes().splitlines(keepends=True)
-    return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"# holonoise v"))).hexdigest()
+    return hashlib.sha256(b"".join(l for l in lines if not l.startswith(drop))).hexdigest()
 
 
 def simulate(tmp_path: Path, config: dict, *flags: str) -> Path:
@@ -55,8 +55,8 @@ def simulate(tmp_path: Path, config: dict, *flags: str) -> Path:
     return out
 
 
-def readme_default(tmp_path: Path, seed: int) -> dict:
-    out = simulate(tmp_path, dict(README_CONFIG, seed=seed))
+def spectra_and_report(tmp_path: Path, config: dict) -> dict:
+    out = simulate(tmp_path, config)
     return {name: digest(out / name) for name in ("spectra.csv", "report.json")}
 
 
@@ -66,8 +66,16 @@ def dump_and_analyze(tmp_path: Path) -> dict:
     analyzed = tmp_path / "analyzed.csv"
     assert main(["analyze", "--timeseries", str(out / "timeseries.csv"),
                  "--output", str(analyzed)]) == 0
+    report = tmp_path / "detect.json"
+    assert main(["detect", "--estimate", str(analyzed), "--band", "0:3.7e6",
+                 "--output", str(report)]) == 0
+    # input_sha256 covers the analyzed file's version line, so it is checked
+    # against that file here and left out of the report's digest.
+    input_sha256 = json.loads(report.read_text())["input_sha256"]
+    assert input_sha256 == hashlib.sha256(analyzed.read_bytes()).hexdigest()
     names = ("timeseries.csv", "spectra.csv", "report.json")
-    return {**{name: digest(out / name) for name in names}, "analyze": digest(analyzed)}
+    return {**{name: digest(out / name) for name in names}, "analyze": digest(analyzed),
+            "detect": digest(report, b'  "input_sha256": ')}
 
 
 def slits(tmp_path: Path) -> dict:
@@ -78,11 +86,32 @@ def slits(tmp_path: Path) -> dict:
     return {"pattern.csv": digest(out)}
 
 
+#: The --output file of each model command, and its arguments.
+MODEL_COMMANDS = {
+    "constants.json": ["constants"],
+    "info.json": ["info", "--length", "1.3e26"],
+    "predict.csv": ["predict", "--arm-length", "40"],
+    "slits-sweep.csv": ["slits", "--screen-distance", "1", "--sweep"],
+    "slits-blurred.csv": ["slits", "--screen-distance", "1", "--blurred"],
+}
+
+
+def model_commands(tmp_path: Path) -> dict:
+    for name, argv in MODEL_COMMANDS.items():
+        assert main([*argv, "--output", str(tmp_path / name)]) == 0
+    return {name: digest(tmp_path / name) for name in MODEL_COMMANDS}
+
+
 RUNS = {
-    "simulate-readme-seed0": lambda tmp_path: readme_default(tmp_path, 0),
-    "simulate-readme-seed1": lambda tmp_path: readme_default(tmp_path, 1),
+    "simulate-readme-seed0": lambda tmp_path: spectra_and_report(tmp_path, README_CONFIG),
+    "simulate-readme-seed1": lambda tmp_path: spectra_and_report(tmp_path,
+                                                                 dict(README_CONFIG, seed=1)),
+    # The case whose bits depended on BLAS threads before 0.11.0.
+    "simulate-2^19-L32768": lambda tmp_path: spectra_and_report(
+        tmp_path, dict(README_CONFIG, n_samples=2**19, segment_length=32768)),
     "simulate-dump-2^18-L1024": dump_and_analyze,
     "slits-2^17": slits,
+    "model-commands": model_commands,
 }
 
 
