@@ -9,10 +9,10 @@ from this process:
   kernel that formats each CSV block;
 - ``per_value_format_s``: the same rows through Python's ``%`` one value at
   a time, the reference the kernel must equal byte for byte;
-- ``write_csv_s``: ``cli._write_csv`` of the block to a file, the path
+- ``write_csv_s``: ``files._write_csv`` of the block to a file, the path
   ``simulate --dump-timeseries`` runs, on the CPUs this process may use
-  (``cpus``), in blocks of ``cli.CHUNK_ROWS`` rows;
-- ``parse_range_s``: ``cli._parse_range`` on the formatted bytes, which must
+  (``cpus``), in blocks of ``files.CHUNK_ROWS`` rows;
+- ``parse_range_s``: ``files._parse_range`` on the formatted bytes, which must
   give back the block bit for bit.
 
 The result is printed as one JSON object.
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from holonoise import ExperimentConfig, cli, synthesize_pair
+from holonoise import ExperimentConfig, files, synthesize_pair
 from holonoise._format import format_rows
 from holonoise._workers import cpu_count
 
@@ -69,16 +69,16 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "timeseries.csv"
-        columns = cli.TIMESERIES_COLUMNS
-        write_s, _ = median_time(lambda: cli._write_csv(path, {}, columns, block), args.repeats)
-        if path.read_bytes() != cli._csv_header({}, columns) + expected:
+        header = files._csv_header({}, files.TIMESERIES.columns)
+        write_s, _ = median_time(lambda: files._write_csv(path, header, block), args.repeats)
+        if path.read_bytes() != header + expected:
             sys.exit("the written file differs from per-value formatting")
 
     with tempfile.TemporaryFile() as handle:
         handle.write(data)
         handle.flush()
         task = (handle.fileno(), 0, len(data))
-        parse_s, parsed = median_time(lambda: cli._parse_range(task), args.repeats)
+        parse_s, parsed = median_time(lambda: files._parse_range(task), args.repeats)
     if parsed.tobytes() != block.tobytes():
         sys.exit("parsing the formatted block does not give it back bit for bit")
 
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
         "per_value_format_s": reference_s,
         "write_csv_s": write_s,
         "parse_range_s": parse_s,
-        "chunk_rows": cli.CHUNK_ROWS,
+        "chunk_rows": files.CHUNK_ROWS,
         "cpus": cpu_count(),
     }, indent=2))
     return 0

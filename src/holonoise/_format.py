@@ -173,23 +173,21 @@ def _layout(d: np.ndarray, x10: np.ndarray, neg: np.ndarray, buf: np.ndarray) ->
         buf[slot] = char
 
 
-def row_bytes(columns: int, prefix: str = "") -> int:
-    """Bytes a line of ``columns`` values after ``prefix`` takes at most."""
-    return len(prefix.encode()) + columns * SLOTS
+def row_bytes(columns: int) -> int:
+    """Bytes a line of ``columns`` values takes at most."""
+    return columns * SLOTS
 
 
-def format_rows(block: np.ndarray, prefix: str = "") -> bytes:
-    """``%.17g`` CSV lines of a 2-D float array, each line after ``prefix``,
-    formatted PASS_VALUES values at a time."""
+def format_rows(block: np.ndarray) -> bytes:
+    """``%.17g`` CSV lines of a 2-D float array, formatted PASS_VALUES values at a time."""
     step = max(1, PASS_VALUES // block.shape[1])
     known: dict = {}
-    return b"".join([_lines(block[i : i + step], prefix, known)
-                     for i in range(0, len(block), step)])
+    return b"".join([_lines(block[i : i + step], known) for i in range(0, len(block), step)])
 
 
-def _lines(block: np.ndarray, prefix: str, known: dict) -> np.ndarray:
+def _lines(block: np.ndarray, known: dict) -> np.ndarray:
     """The bytes of one pass's lines; ``known`` as for `_powers`."""
-    rows, cols = block.shape
+    cols = block.shape[1]
     x = np.ascontiguousarray(block, dtype=np.float64).ravel()
     buf = np.empty((SLOTS, x.size), np.uint8)
     a = np.abs(x)
@@ -208,10 +206,6 @@ def _lines(block: np.ndarray, prefix: str, known: dict) -> np.ndarray:
         buf[:-1, todo] = np.frombuffer(texts, np.uint8).reshape(-1, SLOTS - 1).T
     buf[-1] = ord(",")
     buf[-1, cols - 1 :: cols] = ord("\n")
-    lines = np.ascontiguousarray(buf.T).reshape(rows, cols * SLOTS)
+    flat = np.ascontiguousarray(buf.T).ravel()
     del buf
-    if prefix:
-        head = np.frombuffer(prefix.encode(), np.uint8)
-        lines = np.concatenate([np.broadcast_to(head, (rows, len(head))), lines], axis=1)
-    flat = lines.ravel()
     return flat[flat != 0]

@@ -1,0 +1,512 @@
+"""holonoise's files: CSV spectra and time series, JSON reports, the manifest.
+
+CSV outputs carry their metadata as ``#``-prefixed header comments and
+print floats with 17 significant digits, so a written series re-read from
+disk is bit-identical to the in-memory one and repeated runs of the same
+configuration produce byte-identical files.  Rows are the bytes that
+``%.17g`` gives each value, written by the numpy kernel
+`holonoise._format.format_rows`.  CSVs are streamed in blocks of
+``CHUNK_ROWS`` rows and hashed as they are written; reading cuts the data
+into byte ranges of about ``RANGE_BYTES`` at line boundaries.  Blocks and
+ranges are formatted or parsed across the CPUs the process may use, and
+the bytes do not depend on how many there are; a formatted block comes
+back from its worker through a ring of shared memory, not a pipe.
+
+The files holonoise reads back are of the kinds in `KINDS`: a name, header
+fields with their types, and columns, which `_Input` checks a file against.
+``simulate`` drops a manifest recording the config, constants, package and
+numpy versions, PRNG identity, and SHA-256 of every output; ``detect``
+refuses a spectra file whose digest differs from the one a manifest beside
+it records.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import mmap
+import os
+import sys
+import warnings
+from collections.abc import Iterable, Iterator
+from datetime import datetime, timezone
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+
+from . import __version__
+from ._format import format_rows, row_bytes
+from ._workers import ProcessMap
+from .constants import CONSTANTS
+from .errors import DomainError
+from .spectral import SpectralEstimate, coherence_of, segment_count, welch_blocks
+from .synthesis import ExperimentConfig, TimeSeriesPair
+
+PRNG_IDENTIFIER = (
+    "philox4x64 counter-based; substreams via "
+    "SeedSequence(seed, spawn_key=(stream_id,)); "
+    "common pieces=0, increments=3 (Brownian-difference moving sum) shot1=1 shot2=2"
+)
+
+#: Rows formatted per CSV block, the unit of work handed to one CPU.  It
+#: also sizes the slots of `_Output`'s ring: a 2^20-sample dump on two CPUs
+#: peaked at 103 MB with the ring and blocks of 2^16 rows, at 94 MB with
+#: 2^16 and no ring, and at 72 MB with the ring and 2^14.
+CHUNK_ROWS = 1 << 14
+
+#: Approximate bytes of CSV data parsed per range when reading.
+RANGE_BYTES = 1 << 23
+
+
+def _csv_header(meta: dict, columns: Iterable[str]) -> bytes:
+    """The ``#`` header lines of a CSV file."""
+    lines = [f"# holonoise v{__version__}"]
+    for key, val in meta.items():
+        lines.append(f"# {key} = {val:.17g}" if isinstance(val, float) else f"# {key} = {val}")
+    lines.append("# columns: " + ",".join(columns))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class FileKind(NamedTuple):
+    """A kind of CSV file that holonoise writes and reads back."""
+
+    name: str
+    #: The header fields and their types, written in this order.
+    fields: dict
+    columns: tuple
+
+    def header(self, *values) -> bytes:
+        """The header lines of a file of this kind, its fields set to ``values`` in order."""
+        return _csv_header(dict(zip(self.fields, values)), self.columns)
+
+    def parse(self, meta: dict, path: Path) -> list:
+        """The header fields in the ``meta`` of ``path``, each required and parsed, in order."""
+        missing = sorted(set(self.fields) - set(meta))
+        if missing:
+            raise DomainError(f"{self.name} file {path} lacks header fields: {', '.join(missing)}")
+        values = []
+        for key, parse in self.fields.items():
+            try:
+                values.append(parse(meta[key]))
+            except ValueError as exc:
+                what = "an integer" if parse is int else "a number"
+                raise DomainError(f"{path}: header {key} = {meta[key]!r} is not {what}") from exc
+        return values
+
+
+SPECTRA, TIMESERIES = KINDS = (
+    FileKind("spectra",
+             {"sample_rate_hz": float, "n_samples": int, "segment_length": int,
+              "overlap": float, "window": str, "n_avg": int},
+             ("freq_hz", "psd1_m2_per_hz", "psd2_m2_per_hz", "csd_re_m2_per_hz",
+              "csd_im_m2_per_hz", "coherence")),
+    FileKind("timeseries", {"sample_rate_hz": float, "segment_length": int, "overlap": float},
+             ("time_s", "ch1_m", "ch2_m", "common_m")),
+)
+
+
+class _Output:
+    """An output file, or stdout when ``path`` is None, hashed as it is written.
+
+    CSV rows are formatted CHUNK_ROWS at a time, on forked workers, one for
+    every two blocks that ``rows``, the number of rows to be written, fills
+    and at most one per CPU (see `ProcessMap`); where that is fewer than
+    two, in the calling process.  Workers hand a block's bytes back through
+    a ring of shared memory, made before they fork, with one slot of
+    CHUNK_ROWS lines of ``width`` bytes, the widest line to be written, per
+    block in flight: a worker copies its block into the slot it is given and
+    returns only the length, and the block is written and hashed from the
+    slot, in put order.  A block longer than its slot is refused, never cut
+    short.  The workers are forked on entering the ``with`` block, before
+    the caller starts any thread.
+    """
+
+    def __init__(self, path: Path | None, rows: int = 0, width: int = 0):
+        self.path = path
+        self.sha256 = hashlib.sha256()
+        # A worker for every two blocks at most: on two CPUs, 2^15 rows took
+        # 53 ms on two workers and 34 ms in the calling process.
+        self.formatter = ProcessMap(self.format_block, rows // (2 * CHUNK_ROWS))
+        self.slot_bytes = CHUNK_ROWS * width
+        self.ring = None
+        self.puts = 0
+
+    def __enter__(self) -> "_Output":
+        with contextlib.ExitStack() as stack:
+            if self.formatter.workers > 1:
+                self.ring = mmap.mmap(-1, self.formatter.in_flight * self.slot_bytes)
+                stack.callback(self.ring.close)
+            stack.enter_context(self.formatter)
+            self.handle = None if self.path is None else stack.enter_context(self.path.open("wb"))
+            self.resources = stack.pop_all()
+        return self
+
+    def __exit__(self, kind, *exc) -> None:
+        # Closes the file, then stops the workers, then unmaps the ring.
+        with self.resources:
+            if kind is None:
+                for start, length in self.formatter.drain():
+                    self.write_slot(start, length)
+
+    def write(self, data) -> None:
+        if self.handle is None:
+            sys.stdout.write(str(data, "utf-8"))
+        else:
+            self.handle.write(data)
+        self.sha256.update(data)
+
+    def format_block(self, task: tuple[int, np.ndarray]) -> tuple[int, int]:
+        """Run by a worker, on the copy of this output it forked with: format
+        a block into the ring slot at ``start``; the start and its length."""
+        start, block = task
+        data = format_rows(block)
+        if len(data) > self.slot_bytes:
+            raise OverflowError(f"a CSV block of {len(data)} bytes overflows "
+                                f"its {self.slot_bytes}-byte ring slot")
+        self.ring[start : start + len(data)] = data
+        return start, len(data)
+
+    def write_slot(self, start: int, length: int) -> None:
+        # Released at once, so the ring can be unmapped whatever is raised.
+        with memoryview(self.ring)[start : start + length] as data:
+            self.write(data)
+
+    def rows(self, rows: np.ndarray) -> None:
+        """CSV lines of a 2-D float array, each value at 17 digits."""
+        for i in range(0, len(rows), CHUNK_ROWS):
+            block = rows[i : i + CHUNK_ROWS]
+            if self.ring is None:
+                self.write(format_rows(block))
+                continue
+            # The slot of the block put in_flight puts ago, which is written.
+            start = self.puts % self.formatter.in_flight * self.slot_bytes
+            self.puts += 1
+            for done in self.formatter.put((start, block)):
+                self.write_slot(*done)
+
+    def hexdigest(self) -> str:
+        return self.sha256.hexdigest()
+
+
+def _write_json(path: Path | None, value) -> str:
+    """Write ``value`` as indented JSON to ``path`` (stdout when None); its SHA-256."""
+    with _Output(path) as out:
+        out.write((json.dumps(value, indent=2) + "\n").encode())
+    return out.hexdigest()
+
+
+def _write_csv(path: Path | None, header: bytes, rows: np.ndarray) -> str:
+    """Write ``header``, then ``rows`` as CSV lines, as `_write_json` writes."""
+    with _Output(path, len(rows), row_bytes(rows.shape[1])) as out:
+        out.write(header)
+        out.rows(rows)
+    return out.hexdigest()
+
+
+def _parse_range(task: tuple[int, int, int]) -> np.ndarray:
+    fd, start, stop = task
+    chunk = os.pread(fd, stop - start, start)
+    with warnings.catch_warnings():
+        # A range without data rows parses to an empty part, which
+        # _Input.parts skips.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(io.BytesIO(chunk), delimiter=",", comments="#", ndmin=2)
+
+
+class _Input:
+    """A CSV file of ``kind`` being read: its ``key = value`` header comments, then its data rows.
+
+    Entering the ``with`` block reads the header into ``meta``, and the
+    kind's header fields, parsed, into ``header``; then it cuts the
+    ``data_bytes`` that follow the header into byte ranges of about
+    RANGE_BYTES at line boundaries.  `parts` hands the ranges' rows back one
+    range at a time, in file order, parsed on forked workers (see
+    `ProcessMap`), so a caller that consumes them as they come never holds
+    the whole file.  The workers are forked on entering the ``with`` block,
+    before the caller starts any thread.
+    """
+
+    def __init__(self, path: Path, kind: FileKind):
+        self.path = path
+        self.kind = kind
+        self.meta: dict[str, str] = {}
+        self.rows = 0
+
+    def __enter__(self) -> "_Input":
+        with contextlib.ExitStack() as stack:
+            self.handle = stack.enter_context(self.path.open("rb"))
+            start = 0
+            for line in self.handle:
+                if not line.startswith(b"#"):
+                    break
+                start += len(line)
+                try:
+                    body = line[1:].decode().strip()
+                except ValueError as exc:
+                    raise DomainError(f"malformed CSV {self.path}: {exc}") from exc
+                if "=" in body:
+                    key, _, val = body.partition("=")
+                    self.meta[key.strip()] = val.strip()
+            self.size = size = os.fstat(self.handle.fileno()).st_size
+            # Said before any header field is checked: the file is all header.
+            if size == start:
+                raise DomainError(f"{self.path} has no data rows")
+            self.header = self.kind.parse(self.meta, self.path)
+            self.data_bytes = self.unread = size - start
+            # Cut the data at the first newline after every RANGE_BYTES, so
+            # each range holds whole lines.
+            cuts = [start]
+            while cuts[-1] + RANGE_BYTES < size:
+                self.handle.seek(cuts[-1] + RANGE_BYTES)
+                self.handle.readline()
+                cuts.append(self.handle.tell())
+            cuts.append(size)
+            self.ranges = [(self.handle.fileno(), a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+            self.parser = stack.enter_context(ProcessMap(_parse_range, len(self.ranges)))
+            self.resources = stack.pop_all()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # Stops the workers, then closes the file.
+        self.resources.close()
+
+    def parts(self) -> Iterator[np.ndarray]:
+        """The data rows as 2-D arrays, one per range that holds any, in file order,
+        each refused unless it has the kind's number of columns.
+
+        While the caller holds a part, ``rows`` counts the rows before it and
+        ``unread`` the data bytes after it; once every part has been taken,
+        ``rows`` counts them all.
+        """
+
+        def parsed():
+            try:
+                for task in self.ranges:
+                    yield from self.parser.put(task)
+                yield from self.parser.drain()
+            except ValueError as exc:
+                raise DomainError(f"malformed CSV {self.path}: {exc}") from exc
+
+        columns = len(self.kind.columns)
+        # Each range gives one result, in range order.
+        for (_, _, stop), part in zip(self.ranges, parsed()):
+            self.unread = self.size - stop
+            if not len(part):  # a range of comment lines alone parses to no rows
+                continue
+            if part.shape[1] != columns:
+                raise DomainError(f"{self.kind.name} file {self.path} must have {columns} "
+                                  f"columns, found {part.shape[1]}")
+            yield part
+            self.rows += len(part)
+        if not self.rows:
+            raise DomainError(f"{self.path} has no data rows")
+
+
+def load_config(path: Path) -> ExperimentConfig:
+    """Parse a JSON config file; unknown fields and bad JSON are rejected."""
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DomainError(
+            f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer too long, too deep
+        raise DomainError(f"malformed JSON in {path}: {exc}") from exc
+    return ExperimentConfig.from_dict(raw)
+
+
+def _report_dict(report) -> dict:
+    return {
+        "band_hz": [report.band[0], report.band[1]],
+        "snr": report.snr,
+        "n_avg": report.n_avg,
+        "integration_time_s": report.integration_time,
+        "sigma_level": report.sigma_level,
+        "null_pvalue": report.null_pvalue,
+    }
+
+
+def _write_manifest(path: Path, command: str, config: dict, outputs: dict[str, str]) -> None:
+    manifest = {
+        "command": command,
+        "config": config,
+        "constants": CONSTANTS.as_dict(),
+        "version": __version__,
+        "numpy_version": np.__version__,
+        "prng": PRNG_IDENTIFIER,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "outputs": outputs,
+    }
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _vouched(path: Path) -> tuple[str, bool]:
+    """The SHA-256 of ``path``, and whether a ``manifest.json`` beside it lists it.
+
+    A listed file must have the digest the manifest records: that refuses a
+    file edited after it was written, though not one whose manifest was
+    edited with it.
+    """
+    sha256 = hashlib.sha256()
+    with path.open("rb") as handle:
+        while block := handle.read(1 << 20):
+            sha256.update(block)
+    digest = sha256.hexdigest()
+    manifest_path = path.parent / "manifest.json"
+    if not manifest_path.is_file():
+        return digest, False
+    try:
+        outputs = json.loads(manifest_path.read_text()).get("outputs")
+    except (json.JSONDecodeError, UnicodeDecodeError, AttributeError) as exc:
+        raise DomainError(f"{manifest_path} is not a readable manifest") from exc
+    if not isinstance(outputs, dict) or path.name not in outputs:
+        return digest, False
+    if outputs[path.name] != digest:
+        raise DomainError(
+            f"{path} does not match the SHA-256 that {manifest_path} records for it"
+        )
+    return digest, True
+
+
+def _write_spectra(path: Path | None, est: SpectralEstimate, n_samples: int) -> str:
+    """Spectra of an ``n_samples`` series; the header fixes its ``n_avg``."""
+    header = SPECTRA.header(est.sample_rate, n_samples, est.segment_length, est.overlap, "hann",
+                            est.n_avg)
+    rows = np.column_stack(
+        [est.freqs, est.psd1, est.psd2, est.csd.real, est.csd.imag, est.coherence]
+    )
+    return _write_csv(path, header, rows)
+
+
+def _read_spectra(path: Path) -> SpectralEstimate:
+    """The estimate in a spectra file, refused unless header and columns agree.
+
+    The header is checked before any row is parsed, and each range's rows
+    as they arrive, so a file that is not a spectra file is refused before
+    it is read whole.
+    """
+    with _Input(path, SPECTRA) as csv:
+        sample_rate, n_samples, segment_length, overlap, window, n_avg = csv.header
+        # The null variance is computed for the Hann window, the only one Welch uses.
+        if window != "hann":
+            raise DomainError(f"spectra file {path}: unknown window {window!r}; "
+                              "holonoise spectra are always 'hann'")
+        # n_avg sets the null variance, so it must be the count the header's
+        # segmenting gives, not a number the file merely states.
+        expected = segment_count(n_samples, segment_length, overlap)
+        if n_avg != expected:
+            raise DomainError(
+                f"spectra file {path}: n_avg = {n_avg}, but n_samples = {n_samples}, "
+                f"segment_length = {segment_length} and overlap = {overlap:.17g} give {expected}"
+            )
+        if not (math.isfinite(sample_rate) and sample_rate > 0.0):
+            raise DomainError(
+                f"spectra file {path}: sample_rate_hz = {sample_rate!r} is not a positive rate"
+            )
+        # The rows must be the whole Welch grid the header describes, so a file
+        # cut short, run long or with an edited header is refused rather than trusted.
+        rows = segment_length // 2 + 1
+        needs = f"segment_length = {segment_length} needs {rows}"
+        parts = []
+        for part in csv.parts():
+            if csv.rows + len(part) > rows:
+                raise DomainError(f"spectra file {path} has more than {rows} rows; {needs}")
+            parts.append(part)
+    if csv.rows != rows:
+        raise DomainError(f"spectra file {path} has {csv.rows} rows; {needs}")
+    data = np.concatenate(parts)
+    grid = np.fft.rfftfreq(segment_length, 1.0 / sample_rate)
+    if not np.allclose(data[:, 0], grid, rtol=1e-12, atol=0.0):
+        raise DomainError(
+            f"spectra file {path}: frequency column is not the Welch grid "
+            f"rfftfreq({segment_length}, 1/{sample_rate:.17g})"
+        )
+    # The columns must be spectra a Welch pair could have produced, so an
+    # edited value is refused rather than turned into a sigma.
+    psd1, psd2, csd, coherence = data[:, 1], data[:, 2], data[:, 3] + 1j * data[:, 4], data[:, 5]
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"spectra file {path} holds a non-finite value")
+    if np.any(psd1 < 0.0) or np.any(psd2 < 0.0):
+        raise DomainError(f"spectra file {path} holds a negative PSD")
+    with np.errstate(over="ignore"):
+        power, cross = psd1 * psd2, np.abs(csd) ** 2
+        if np.any(cross > power * (1.0 + 1e-12)):
+            raise DomainError(f"spectra file {path}: |csd|^2 exceeds psd1 * psd2")
+    # welch_blocks refuses spectra whose products pass the float range, as here.
+    if not (np.isfinite(power).all() and np.isfinite(cross).all()):
+        raise DomainError(f"spectra file {path}: |csd|^2 or psd1 * psd2 passes the float range")
+    if np.any(np.abs(coherence - coherence_of(psd1, psd2, csd)) > 1e-12):
+        raise DomainError(f"spectra file {path}: coherence is not |csd|^2 / (psd1 * psd2)")
+    return SpectralEstimate(
+        freqs=data[:, 0],
+        psd1=psd1,
+        psd2=psd2,
+        csd=csd,
+        coherence=coherence,
+        n_avg=n_avg,
+        segment_length=segment_length,
+        overlap=overlap,
+        sample_rate=sample_rate,
+    )
+
+
+def _read_timeseries(path: Path) -> tuple[SpectralEstimate, int]:
+    """The Welch spectra of a ``simulate --dump-timeseries`` file, and its sample count.
+
+    The header is checked at once; each block's columns, samples and times
+    as its byte range is parsed, and Welch takes the blocks as they come.
+    """
+    # welch_blocks starts no thread, so the CSV workers are forked, and run,
+    # while none is alive.
+    with _Input(path, TIMESERIES) as series:
+        sample_rate, segment_length, overlap = series.header
+
+        def hold_a_segment(rows: int) -> None:
+            # A data row takes at least 8 bytes, "0,0,0,0\n" (7 for a last row
+            # without its newline), so the rows parsed and the bytes still unread
+            # bound the series.  Checked before a window that long is made, and
+            # again as parts arrive, so a forged segment length is refused before
+            # Welch carries the whole series.
+            most = rows + (series.unread + 1) // 8
+            if segment_length > most:
+                raise DomainError(f"timeseries file {path} is shorter than one segment "
+                                  f"({segment_length}): its {series.data_bytes} data bytes "
+                                  f"hold at most {most} rows")
+
+        hold_a_segment(0)
+
+        def blocks():
+            for part in series.parts():
+                hold_a_segment(series.rows + len(part))
+                pair = TimeSeriesPair(sample_rate, part[:, 1], part[:, 2], part[:, 3])
+                # Every time must be its row's sample time, finite, so an edited
+                # row or rate is refused.
+                with np.errstate(over="ignore"):
+                    grid = np.arange(series.rows, series.rows + len(part)) / sample_rate
+                if not (np.isfinite(grid[-1])
+                        and np.allclose(part[:, 0], grid, rtol=1e-12, atol=0.0)):
+                    raise DomainError(f"timeseries file {path}: time column is not "
+                                      "arange(n) / rate")
+                yield pair.ch1, pair.ch2
+
+        estimate = welch_blocks(blocks(), sample_rate, segment_length, overlap)
+    return estimate, series.rows
+
+
+def _dumped(blocks: Iterable[TimeSeriesPair], out: _Output) -> Iterator[TimeSeriesPair]:
+    """``blocks`` passed on as they come, each also written to ``out`` as time-series rows."""
+    start = 0
+    for block in blocks:
+        # Stacked CHUNK_ROWS rows at a time, so a row block waiting for a
+        # CSV worker holds only its own rows.
+        for i in range(0, block.n_samples, CHUNK_ROWS):
+            part = slice(i, i + CHUNK_ROWS)
+            times = np.arange(start + i, start + min(i + CHUNK_ROWS, block.n_samples))
+            columns = [block.ch1[part], block.ch2[part], block.common[part]]
+            out.rows(np.column_stack([times / block.sample_rate, *columns]))
+        start += block.n_samples
+        yield block

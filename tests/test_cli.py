@@ -27,20 +27,22 @@ import numpy as np
 import pytest
 
 import holonoise
-from holonoise import CONSTANTS, ExperimentConfig, HolographicModel, cli, spectral
+from holonoise import CONSTANTS, ExperimentConfig, HolographicModel, files, spectral
 from holonoise._format import row_bytes
-from holonoise.cli import (
+from holonoise.cli import ENV_OUTPUT_DIR, main
+from holonoise.errors import DomainError
+from holonoise.files import (
     CHUNK_ROWS,
-    ENV_OUTPUT_DIR,
+    KINDS,
     PRNG_IDENTIFIER,
     RANGE_BYTES,
+    FileKind,
+    _csv_header,
     _Input,
     _Output,
     _write_csv,
     load_config,
-    main,
 )
-from holonoise.errors import DomainError
 
 SMALL_CONFIG = {
     "arm_length": 40.0,
@@ -143,8 +145,10 @@ def test_predict_rejects_overflowing_arm_length():
 
 def test_csv_rows_match_per_value_formatting(tmp_path):
     rows = np.array([[-0.0, 1e300, 5e-324], [0.1, -2.5e-17, 123456789.125]])
-    _write_csv(tmp_path / "rows.csv", {"sample_rate_hz": 5e7}, ["a", "b", "c"], rows)
+    header = _csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c"])
+    digest = _write_csv(tmp_path / "rows.csv", header, rows)
     text = (tmp_path / "rows.csv").read_text()
+    assert digest == hashlib.sha256(text.encode()).hexdigest()
     body = [line for line in text.splitlines() if not line.startswith("#")]
     assert body == [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
     assert body[0] == "-0,1.0000000000000001e+300,4.9406564584124654e-324"
@@ -172,22 +176,13 @@ def block_rows():
 def test_csv_blocks_match_per_value_formatting_on_any_cpu_count(tmp_path, block_rows, cpus):
     rows, expected = block_rows
     path = tmp_path / "blocks.csv"
-    digest = _write_csv(path, {"sample_rate_hz": 5e7}, ["a", "b", "c", "d"], rows)
-    data = path.read_bytes()
-    assert data == expected
-    assert digest == hashlib.sha256(data).hexdigest()
-
-
-def test_prefixed_csv_blocks_wrap_the_ring(tmp_path, block_rows, cpus):
-    rows, expected = block_rows
-    body = expected.split(b"\n", 3)[3]  # below the three header lines
-    path = tmp_path / "prefixed.csv"
-    with _Output(path, len(rows), row_bytes(4, "psd,")) as out:
-        out.rows(rows, "psd,")
+    with _Output(path, len(rows), row_bytes(4)) as out:
+        out.write(_csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c", "d"]))
+        out.rows(rows)
     if cpus > 1:  # 13 blocks through the 5 slots of two workers' ring
         assert out.puts == -(-len(rows) // CHUNK_ROWS) > out.formatter.in_flight
     data = path.read_bytes()
-    assert data == b"".join(b"psd," + line for line in body.splitlines(keepends=True))
+    assert data == expected
     assert out.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
@@ -207,7 +202,7 @@ def test_ring_slots_are_not_reused_before_a_slow_writer_is_done(tmp_path, block_
 
     monkeypatch.setattr(_Output, "write_slot", slow)
     path = tmp_path / "blocks.csv"
-    _write_csv(path, {"sample_rate_hz": 5e7}, ["a", "b", "c", "d"], rows)
+    _write_csv(path, _csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c", "d"]), rows)
     assert path.read_bytes() == expected
 
 
@@ -235,8 +230,8 @@ def test_output_failing_with_blocks_in_flight_stops_its_workers(tmp_path, block_
 
 def test_output_refuses_a_block_longer_than_its_ring_slot(tmp_path, monkeypatch):
     # Every value takes all 25 bytes a value may, separator included, so the
-    # lines fill slots sized for 4 values exactly, and overflow them by their
-    # prefix.
+    # lines fill slots sized for 4 values exactly, and overflow slots one
+    # byte a line shorter.
     rows = np.full((4 * CHUNK_ROWS, 4), -1.2345678901234567e-123)
     line = b",".join([b"-1.2345678901234567e-123"] * 4) + b"\n"
     assert len(line) == row_bytes(4)
@@ -245,9 +240,9 @@ def test_output_refuses_a_block_longer_than_its_ring_slot(tmp_path, monkeypatch)
     with _Output(path, len(rows), row_bytes(4)) as out:
         out.rows(rows)
     assert path.read_bytes() == line * len(rows)
-    with pytest.raises(OverflowError, match="overflows its 1638400-byte ring slot"):
-        with _Output(path, len(rows), row_bytes(4)) as out:
-            out.rows(rows, "psd,")
+    with pytest.raises(OverflowError, match="overflows its 1622016-byte ring slot"):
+        with _Output(path, len(rows), row_bytes(4) - 1) as out:
+            out.rows(rows)
     assert out.handle.closed and out.ring.closed
     assert path.read_bytes() == b""
 
@@ -257,12 +252,32 @@ def test_read_csv_multi_range_is_bit_exact(tmp_path, block_rows, cpus):
     assert len(expected) > 2 * RANGE_BYTES
     path = tmp_path / "blocks.csv"
     path.write_bytes(expected)
-    with _Input(path) as csv:
+    with _Input(path, FileKind("rows", {"sample_rate_hz": float}, ("a", "b", "c", "d"))) as csv:
         parts = list(csv.parts())
     assert csv.meta == {"sample_rate_hz": "50000000"}
+    assert csv.header == [5e7]
     assert len(parts) > 2
     assert csv.rows == len(rows)
     assert np.concatenate(parts).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+def test_input_checks_the_header_fields_and_columns_of_its_kind(tmp_path, kind):
+    # Each kind reads back the header fields it writes, with their types, and
+    # refuses rows with a column more than it has.
+    values = [{float: 0.1 * (i + 1), int: i + 1, str: "hann"}[parse]
+              for i, parse in enumerate(kind.fields.values())]
+    path = tmp_path / f"{kind.name}.csv"
+    columns = len(kind.columns)
+    _write_csv(path, kind.header(*values), np.ones((3, columns)))
+    with _Input(path, kind) as csv:
+        assert csv.header == values
+        assert np.concatenate(list(csv.parts())).shape == (3, columns)
+    _write_csv(path, kind.header(*values), np.ones((3, columns + 1)))
+    with _Input(path, kind) as csv:
+        with pytest.raises(DomainError, match=f"^{kind.name} file {path} must have {columns} "
+                                              f"columns, found {columns + 1}$"):
+            list(csv.parts())
 
 
 @pytest.fixture(scope="module")
@@ -907,7 +922,7 @@ def test_analyze_without_segmenting_headers_is_refused(tmp_path):
     rng = np.random.default_rng(3)
     rows = np.column_stack([np.arange(16384) / 5e7, rng.standard_normal((16384, 2))])
     series = tmp_path / "timeseries.csv"
-    _write_csv(series, {"sample_rate_hz": 5e7}, ["time_s", "ch1_m", "ch2_m"], rows)
+    _write_csv(series, _csv_header({"sample_rate_hz": 5e7}, ["time_s", "ch1_m", "ch2_m"]), rows)
     proc = run_python("-m", "holonoise.cli", "analyze", "--timeseries", str(series))
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -980,14 +995,14 @@ def test_analyze_refuses_a_forged_segment_length_before_the_last_range(
     data_bytes = len(text.encode()) - text.index("\n0,") - 1
     assert data_bytes // 8 > 65536
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(cli, "RANGE_BYTES", 1 << 12)
-    parse_range, stops = cli._parse_range, []
+    monkeypatch.setattr(files, "RANGE_BYTES", 1 << 12)
+    parse_range, stops = files._parse_range, []
 
     def recorded(task):
         stops.append(task[2])
         return parse_range(task)
 
-    monkeypatch.setattr(cli, "_parse_range", recorded)
+    monkeypatch.setattr(files, "_parse_range", recorded)
     hann_window, windows = spectral.hann_window, []
 
     def window(length):

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from holonoise._format import PASS_VALUES, format_rows
 
 
-def per_value(rows: np.ndarray, prefix: str = "") -> bytes:
+def per_value(rows: np.ndarray) -> bytes:
     """The reference: each value through ``format(v, ".17g")``, joined per row."""
-    return "".join(prefix + ",".join(format(v, ".17g") for v in row) + "\n"
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n"
                    for row in rows.tolist()).encode()
 
 
@@ -62,13 +62,12 @@ def test_ties_are_ties():
 
 
 @pytest.mark.parametrize("cols", [1, 3, 4])
-@pytest.mark.parametrize("prefix", ["", "acf,"])
-def test_hazards_match_per_value_formatting(cols, prefix):
+def test_hazards_match_per_value_formatting(cols):
     values = np.array(HAZARDS + [-v for v in HAZARDS])
     rows = values[: len(values) // cols * cols].reshape(-1, cols)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert format_rows(rows, prefix) == per_value(rows, prefix)
+        assert format_rows(rows) == per_value(rows)
 
 
 def test_passes_join_into_the_same_bytes():
@@ -80,13 +79,12 @@ def test_passes_join_into_the_same_bytes():
     assert format_rows(rows) == per_value(rows)
 
 
-@given(st.lists(st.floats(), min_size=1, max_size=48), st.integers(1, 6),
-       st.sampled_from(["", "psd,"]))
-def test_any_floats_match_per_value_formatting(values, cols, prefix):
+@given(st.lists(st.floats(), min_size=1, max_size=48), st.integers(1, 6))
+def test_any_floats_match_per_value_formatting(values, cols):
     rows = np.array(values + [0.0] * (-len(values) % cols)).reshape(-1, cols)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert format_rows(rows, prefix) == per_value(rows, prefix)
+        assert format_rows(rows) == per_value(rows)
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=48))
