@@ -176,6 +176,17 @@ def block_rows():
 def test_csv_blocks_match_per_value_formatting_on_any_cpu_count(tmp_path, block_rows, cpus):
     rows, expected = block_rows
     path = tmp_path / "blocks.csv"
+    digest = _write_csv(path, _csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c", "d"]), rows)
+    data = path.read_bytes()
+    assert data == expected
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_prefixed_csv_blocks_wrap_the_ring(tmp_path, block_rows, cpus):
+    # The blocks land after bytes the caller wrote itself, as every caller
+    # that needs a prefix now writes it: here the header, unaligned to a slot.
+    rows, expected = block_rows
+    path = tmp_path / "prefixed.csv"
     with _Output(path, len(rows), row_bytes(4)) as out:
         out.write(_csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c", "d"]))
         out.rows(rows)
