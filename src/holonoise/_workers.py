@@ -23,7 +23,8 @@ import sys
 from collections import deque
 from collections.abc import Iterator
 
-#: Array elements of work below which no thread is started.
+#: Array elements of work below which no thread is started, counted over
+#: the whole run, not a block: synthesis counts every stream's n_samples.
 #: On two cores, a null pair of 2^17 samples (2^18 elements) synthesized no
 #: faster on two threads, and a 2^15-sample Monte Carlo replica slower.
 MIN_THREAD_WORK = 1 << 19

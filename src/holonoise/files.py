@@ -55,11 +55,21 @@ PRNG_IDENTIFIER = (
 #: Rows formatted per CSV block, the unit of work handed to one CPU.  It
 #: also sizes the slots of `_Output`'s ring: a 2^20-sample dump on two CPUs
 #: peaked at 103 MB with the ring and blocks of 2^16 rows, at 94 MB with
-#: 2^16 and no ring, and at 72 MB with the ring and 2^14.
-CHUNK_ROWS = 1 << 14
+#: 2^16 and no ring, at 72 MB with the ring and 2^14, and at 50 MB with
+#: 2^13 and synthesis blocks of 2^16.
+CHUNK_ROWS = 1 << 13
+
+#: CSV rows per formatting worker: an output under twice this many rows is
+#: formatted in the calling process.  On two CPUs, 2^15 dump rows took 53 ms
+#: on two workers and 34 ms in one process; 2^16 rows broke even.
+WORKER_ROWS = 1 << 15
 
 #: Approximate bytes of CSV data parsed per range when reading.
-RANGE_BYTES = 1 << 23
+RANGE_BYTES = 1 << 21
+
+#: CSV data bytes per parsing worker: a file is parsed on one worker per
+#: started 8 MB, so one of 8 MB or less is parsed in the calling process.
+WORKER_BYTES = 1 << 23
 
 
 def _csv_header(meta: dict, columns: Iterable[str]) -> bytes:
@@ -113,9 +123,9 @@ class _Output:
     """An output file, or stdout when ``path`` is None, hashed as it is written.
 
     CSV rows are formatted CHUNK_ROWS at a time, on forked workers, one for
-    every two blocks that ``rows``, the number of rows to be written, fills
-    and at most one per CPU (see `ProcessMap`); where that is fewer than
-    two, in the calling process.  Workers hand a block's bytes back through
+    every WORKER_ROWS of ``rows``, the number of rows to be written, and at
+    most one per CPU (see `ProcessMap`); where that is fewer than two, in
+    the calling process.  Workers hand a block's bytes back through
     a ring of shared memory, made before they fork, with one slot of
     CHUNK_ROWS lines of ``width`` bytes, the widest line to be written, per
     block in flight: a worker copies its block into the slot it is given and
@@ -128,9 +138,7 @@ class _Output:
     def __init__(self, path: Path | None, rows: int = 0, width: int = 0):
         self.path = path
         self.sha256 = hashlib.sha256()
-        # A worker for every two blocks at most: on two CPUs, 2^15 rows took
-        # 53 ms on two workers and 34 ms in the calling process.
-        self.formatter = ProcessMap(self.format_block, rows // (2 * CHUNK_ROWS))
+        self.formatter = ProcessMap(self.format_block, rows // WORKER_ROWS)
         self.slot_bytes = CHUNK_ROWS * width
         self.ring = None
         self.puts = 0
@@ -224,10 +232,10 @@ class _Input:
     kind's header fields, parsed, into ``header``; then it cuts the
     ``data_bytes`` that follow the header into byte ranges of about
     RANGE_BYTES at line boundaries.  `parts` hands the ranges' rows back one
-    range at a time, in file order, parsed on forked workers (see
-    `ProcessMap`), so a caller that consumes them as they come never holds
-    the whole file.  The workers are forked on entering the ``with`` block,
-    before the caller starts any thread.
+    range at a time, in file order, parsed on forked workers, one for every
+    WORKER_BYTES of data begun (see `ProcessMap`), so a caller that consumes
+    them as they come never holds the whole file.  The workers are forked on
+    entering the ``with`` block, before the caller starts any thread.
     """
 
     def __init__(self, path: Path, kind: FileKind):
@@ -266,7 +274,8 @@ class _Input:
                 cuts.append(self.handle.tell())
             cuts.append(size)
             self.ranges = [(self.handle.fileno(), a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-            self.parser = stack.enter_context(ProcessMap(_parse_range, len(self.ranges)))
+            workers = -(-self.data_bytes // WORKER_BYTES)
+            self.parser = stack.enter_context(ProcessMap(_parse_range, workers))
             self.resources = stack.pop_all()
         return self
 

@@ -19,12 +19,12 @@ the covariance is the sampled triangle by construction: no embedding,
 eigenvalue check or FFT is involved.
 
 The pair is made in blocks of ``BLOCK_SAMPLES`` samples (`synthesize_blocks`),
-so a consumer that takes it block by block, such as the Welch pass of
-``holonoise simulate``, holds memory fixed by the block, not by n.  The
-cumulative sum and a q-draw look-ahead are carried from block to block, and
-a Philox stream drawn a block at a time gives the bits of one draw, so
-`synthesize_pair` and `synthesize_common`, the blocks put end to end, do not
-depend on the block size.
+2^16, so a consumer that takes it block by block, such as the Welch pass of
+``holonoise simulate``, holds memory fixed by the block, not by n: 1.5 MB
+for a block's three arrays.  The cumulative sum and a q-draw look-ahead are
+carried from block to block, and a Philox stream drawn a block at a time
+gives the bits of one draw, so `synthesize_pair` and `synthesize_common`,
+the blocks put end to end, do not depend on the block size.
 
 `ExperimentConfig` refuses a run before anything is drawn or written, by
 the rules of the code that applies them: `spectral.check_segment_length`
@@ -37,8 +37,9 @@ r-pieces (stream 0) and unit-interval rests (stream 3), and the two shot
 floors (streams 1 and 2) are mutually independent and each is reproducible
 bit for bit from ``(seed, stream_id)`` alone.  Each block's common
 component and two shot floors are therefore made concurrently, on as many
-threads as the CPUs the process may use allow (`_workers.thread_count`),
-without changing a bit.
+threads as the CPUs the process may use allow, without changing a bit;
+whether a run starts threads at all is decided from its whole work, every
+stream's n samples (`_workers.thread_count`), never from the block size.
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ STREAM_SHOT1 = 1
 STREAM_SHOT2 = 2
 STREAM_INCREMENTS = 3
 
-#: Samples per synthesized block.  At the default 8192-sample segments and
-#: 50% overlap that is two 32-segment Welch chunks; memory held between
-#: blocks does not grow with n_samples.
-BLOCK_SAMPLES = 1 << 18
+#: Samples per synthesized block, 512 kB an array.  At the default
+#: 8192-sample segments and 50% overlap that is 16 segment steps, half a
+#: Welch chunk; memory held between blocks does not grow with n_samples.
+#: README-default simulate peaked at 62 MB with blocks of 2^18, 50 MB with
+#: 2^17 and 44 MB with 2^16, with wall times within 5% of each other.
+BLOCK_SAMPLES = 1 << 16
 
 
 def generator(seed: int, stream_id: int) -> np.random.Generator:
@@ -328,8 +331,9 @@ def _blocks(config: ExperimentConfig, out) -> Iterator[list[np.ndarray]]:
         return lambda: ([future.result() for future in futures], arrays)[1]
 
     def generate():
-        # A task for each shot floor, and one for the common component.
-        threads = thread_count(len(shots) + (moving is not None), streams * block)
+        # A task for each shot floor, and one for the common component; the
+        # work counted is the run's, so the block size does not decide it.
+        threads = thread_count(len(shots) + (moving is not None), streams * n)
         pool = None
         try:
             if threads > 1:

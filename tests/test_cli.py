@@ -36,6 +36,7 @@ from holonoise.files import (
     KINDS,
     PRNG_IDENTIFIER,
     RANGE_BYTES,
+    WORKER_ROWS,
     FileKind,
     _csv_header,
     _Input,
@@ -190,7 +191,7 @@ def test_prefixed_csv_blocks_wrap_the_ring(tmp_path, block_rows, cpus):
     with _Output(path, len(rows), row_bytes(4)) as out:
         out.write(_csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c", "d"]))
         out.rows(rows)
-    if cpus > 1:  # 13 blocks through the 5 slots of two workers' ring
+    if cpus > 1:  # more blocks than the 5 slots of two workers' ring
         assert out.puts == -(-len(rows) // CHUNK_ROWS) > out.formatter.in_flight
     data = path.read_bytes()
     assert data == expected
@@ -243,7 +244,7 @@ def test_output_refuses_a_block_longer_than_its_ring_slot(tmp_path, monkeypatch)
     # Every value takes all 25 bytes a value may, separator included, so the
     # lines fill slots sized for 4 values exactly, and overflow slots one
     # byte a line shorter.
-    rows = np.full((4 * CHUNK_ROWS, 4), -1.2345678901234567e-123)
+    rows = np.full((2 * WORKER_ROWS, 4), -1.2345678901234567e-123)
     line = b",".join([b"-1.2345678901234567e-123"] * 4) + b"\n"
     assert len(line) == row_bytes(4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -251,7 +252,8 @@ def test_output_refuses_a_block_longer_than_its_ring_slot(tmp_path, monkeypatch)
     with _Output(path, len(rows), row_bytes(4)) as out:
         out.rows(rows)
     assert path.read_bytes() == line * len(rows)
-    with pytest.raises(OverflowError, match="overflows its 1622016-byte ring slot"):
+    slot = CHUNK_ROWS * (row_bytes(4) - 1)
+    with pytest.raises(OverflowError, match=f"overflows its {slot}-byte ring slot"):
         with _Output(path, len(rows), row_bytes(4) - 1) as out:
             out.rows(rows)
     assert out.handle.closed and out.ring.closed
@@ -329,7 +331,7 @@ def test_analyze_header_only_file(tmp_path, capsys):
 def test_multi_block_stdout_matches_file(tmp_path):
     # Forked workers must not repeat the header already buffered for stdout.
     argv = ["-m", "holonoise.cli", "slits", "--screen-distance", "1",
-            "--n-angles", str(4 * CHUNK_ROWS + 1)]
+            "--n-angles", str(2 * WORKER_ROWS + 1)]
     out = tmp_path / "pattern.csv"
     assert run_python(*argv, "--output", str(out)).returncode == 0
     proc = run_python(*argv)
@@ -498,23 +500,38 @@ def test_simulate_spectra_are_welch_of_synthesize_pair(tmp_path, cpus):
     assert series[:, 0].tobytes() == (np.arange(cfg.n_samples) / cfg.sample_rate).tobytes()
 
 
+#: A launcher for `peak_rss_mb`: forks, runs the command in its arguments
+#: with stdout to /dev/null, and prints the command's exit code and peak
+#: resident set in kB, from wait4.
+PEAK_LAUNCHER = """\
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def peak_rss_mb(argv, stderr_path, code=0):
     """Peak resident set of a fresh ``python -m holonoise.cli`` run that exits
     with ``code``, from wait4.
 
-    A child started by vfork reports the peak of this process as its own,
-    since exec folds the peak of the memory it leaves into the child's; a
-    ``preexec_fn`` makes Popen fork instead.
+    A child's peak counts the memory it started with: a forked child starts
+    with the resident set of the process it was forked from, and one started
+    by vfork with that process's peak, and exec keeps either as the child's.
+    So the run is forked from a bare launcher interpreter, whose ~10 MB lies
+    below any command's own peak, not from this test process.
     """
     with stderr_path.open("wb") as stderr:
-        proc = subprocess.Popen([sys.executable, "-m", "holonoise.cli", *argv],
-                                stdout=subprocess.DEVNULL, stderr=stderr,
-                                preexec_fn=lambda: None)
-        _, status, usage = os.wait4(proc.pid, 0)
-        # Popen warns, when collected, about a child it has not seen exit.
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == code, stderr_path.read_text()
-    return usage.ru_maxrss / 1024
+        proc = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, sys.executable, "-m",
+                               "holonoise.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=stderr, timeout=300)
+    assert proc.returncode == 0, stderr_path.read_text()
+    returncode, peak_kb = map(int, proc.stdout.split())
+    assert returncode == code, stderr_path.read_text()
+    return peak_kb / 1024
 
 
 def test_simulate_memory_does_not_grow_with_n(tmp_path):
@@ -541,6 +558,23 @@ def test_analyze_memory_does_not_grow_with_n(tmp_path, long_dumps):
                          tmp_path / "stderr.txt")
              for n, path in sorted(long_dumps.items())]
     assert abs(peaks[1] - peaks[0]) <= 15.0, peaks
+
+
+def test_simulate_and_analyze_working_set_over_the_import_floor(tmp_path, long_dumps):
+    # What README-default simulate and analyze of the 2^20 dump hold above
+    # the interpreter, numpy and holonoise, whose peak `constants` gives.
+    # Synthesis blocks of 2^16 samples, CSV blocks of 2^13 rows and 2 MB
+    # parse ranges keep it near 12 and 9 MB; 2^18 samples, 2^14 rows and
+    # 8 MB ranges held 29 and 24 MB.
+    stderr = tmp_path / "stderr.txt"
+    floor = peak_rss_mb(["constants"], stderr)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(ExperimentConfig().as_dict()))
+    simulate = peak_rss_mb(["simulate", "--config", str(config),
+                            "--output-dir", str(tmp_path / "run")], stderr)
+    analyze = peak_rss_mb(["analyze", "--timeseries", str(long_dumps[2**20]),
+                           "--output", str(tmp_path / "spectra.csv")], stderr)
+    assert simulate - floor <= 18.0 and analyze - floor <= 18.0, (floor, simulate, analyze)
 
 
 def test_detect_refuses_a_timeseries_in_memory_that_does_not_grow_with_n(tmp_path, long_dumps):
