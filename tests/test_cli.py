@@ -36,6 +36,7 @@ from holonoise.files import (
     KINDS,
     PRNG_IDENTIFIER,
     RANGE_BYTES,
+    WORKER_BYTES,
     WORKER_ROWS,
     FileKind,
     _csv_header,
@@ -267,6 +268,8 @@ def test_read_csv_multi_range_is_bit_exact(tmp_path, block_rows, cpus):
     path.write_bytes(expected)
     with _Input(path, FileKind("rows", {"sample_rate_hz": float}, ("a", "b", "c", "d"))) as csv:
         parts = list(csv.parts())
+    # More than WORKER_BYTES of data, so parsed on a worker per CPU.
+    assert csv.data_bytes > WORKER_BYTES and csv.parser.workers == cpus
     assert csv.meta == {"sample_rate_hz": "50000000"}
     assert csv.header == [5e7]
     assert len(parts) > 2
