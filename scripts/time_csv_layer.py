@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the CSV layer: formatting a dump-shaped block and parsing it back.
 
-Synthesizes a ``simulate --dump-timeseries`` block (time, ch1, ch2, common)
-of ``--rows`` rows, then times, each as the median of ``--repeats`` runs
-from this process:
+Synthesizes a ``simulate --dump-timeseries`` block of ``--rows`` rows, with
+the columns of ``files.TIMESERIES`` (ch1, ch2, common), then times, each as
+the median of ``--repeats`` runs from this process:
 
 - ``format_block_s``: ``_format.format_rows``, the numpy ``%.17g`` row
   kernel that formats each CSV block;
@@ -57,8 +57,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     config = ExperimentConfig(n_samples=args.rows, seed=args.seed, segment_length=1024)
     pair = synthesize_pair(config)
-    times = np.arange(args.rows) / pair.sample_rate
-    block = np.column_stack([times, pair.ch1, pair.ch2, pair.common])
+    block = np.column_stack([getattr(pair, column.removesuffix("_m"))
+                             for column in files.TIMESERIES.columns])
 
     template = ",".join(["%.17g"] * block.shape[1]) + "\n"
     format_s, data = median_time(lambda: format_rows(block), args.repeats)

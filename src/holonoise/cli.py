@@ -166,7 +166,8 @@ def cmd_simulate(args) -> int:
     # while no synthesis thread is alive.
     with dump or contextlib.nullcontext():
         if dump is not None:
-            dump.write(TIMESERIES.header(config.sample_rate, config.segment_length, config.overlap))
+            dump.write(TIMESERIES.header(config.sample_rate, config.n_samples,
+                                         config.segment_length, config.overlap))
             blocks = _dumped(blocks, dump)
         estimate = welch_blocks(
             ((block.ch1, block.ch2) for block in blocks),

@@ -114,8 +114,9 @@ SPECTRA, TIMESERIES = KINDS = (
               "overlap": float, "window": str, "n_avg": int},
              ("freq_hz", "psd1_m2_per_hz", "psd2_m2_per_hz", "csd_re_m2_per_hz",
               "csd_im_m2_per_hz", "coherence")),
-    FileKind("timeseries", {"sample_rate_hz": float, "segment_length": int, "overlap": float},
-             ("time_s", "ch1_m", "ch2_m", "common_m")),
+    FileKind("timeseries",
+             {"sample_rate_hz": float, "n_samples": int, "segment_length": int, "overlap": float},
+             ("ch1_m", "ch2_m", "common_m")),
 )
 
 
@@ -466,21 +467,26 @@ def _read_spectra(path: Path) -> SpectralEstimate:
 def _read_timeseries(path: Path) -> tuple[SpectralEstimate, int]:
     """The Welch spectra of a ``simulate --dump-timeseries`` file, and its sample count.
 
-    The header is checked at once; each block's columns, samples and times
-    as its byte range is parsed, and Welch takes the blocks as they come.
+    The header is checked at once; each block's columns, samples and row
+    count as its byte range is parsed, and Welch takes the blocks as they
+    come.  A row's time is its index over the rate, so no column holds it.
     """
     # welch_blocks starts no thread, so the CSV workers are forked, and run,
     # while none is alive.
     with _Input(path, TIMESERIES) as series:
-        sample_rate, segment_length, overlap = series.header
+        sample_rate, n_samples, segment_length, overlap = series.header
+        needs = f"its header gives n_samples = {n_samples}"
+        if segment_length > n_samples:
+            raise DomainError(f"timeseries file {path} is shorter than one segment "
+                              f"({segment_length}): {needs}")
 
         def hold_a_segment(rows: int) -> None:
-            # A data row takes at least 8 bytes, "0,0,0,0\n" (7 for a last row
+            # A data row takes at least 6 bytes, "0,0,0\n" (5 for a last row
             # without its newline), so the rows parsed and the bytes still unread
-            # bound the series.  Checked before a window that long is made, and
-            # again as parts arrive, so a forged segment length is refused before
-            # Welch carries the whole series.
-            most = rows + (series.unread + 1) // 8
+            # bound the series whatever n_samples says: checked before a window
+            # is made and as parts arrive, so a forged segment length is refused
+            # before Welch carries the whole series.
+            most = rows + (series.unread + 1) // 6
             if segment_length > most:
                 raise DomainError(f"timeseries file {path} is shorter than one segment "
                                   f"({segment_length}): its {series.data_bytes} data bytes "
@@ -490,32 +496,24 @@ def _read_timeseries(path: Path) -> tuple[SpectralEstimate, int]:
 
         def blocks():
             for part in series.parts():
+                if series.rows + len(part) > n_samples:
+                    raise DomainError(f"timeseries file {path} has more than {n_samples} rows; "
+                                      f"{needs}")
                 hold_a_segment(series.rows + len(part))
-                pair = TimeSeriesPair(sample_rate, part[:, 1], part[:, 2], part[:, 3])
-                # Every time must be its row's sample time, finite, so an edited
-                # row or rate is refused.
-                with np.errstate(over="ignore"):
-                    grid = np.arange(series.rows, series.rows + len(part)) / sample_rate
-                if not (np.isfinite(grid[-1])
-                        and np.allclose(part[:, 0], grid, rtol=1e-12, atol=0.0)):
-                    raise DomainError(f"timeseries file {path}: time column is not "
-                                      "arange(n) / rate")
+                pair = TimeSeriesPair(sample_rate, *part.T)
                 yield pair.ch1, pair.ch2
+            if series.rows != n_samples:
+                raise DomainError(f"timeseries file {path} has {series.rows} rows; {needs}")
 
-        estimate = welch_blocks(blocks(), sample_rate, segment_length, overlap)
-    return estimate, series.rows
+        return welch_blocks(blocks(), sample_rate, segment_length, overlap), n_samples
 
 
 def _dumped(blocks: Iterable[TimeSeriesPair], out: _Output) -> Iterator[TimeSeriesPair]:
     """``blocks`` passed on as they come, each also written to ``out`` as time-series rows."""
-    start = 0
     for block in blocks:
         # Stacked CHUNK_ROWS rows at a time, so a row block waiting for a
         # CSV worker holds only its own rows.
         for i in range(0, block.n_samples, CHUNK_ROWS):
             part = slice(i, i + CHUNK_ROWS)
-            times = np.arange(start + i, start + min(i + CHUNK_ROWS, block.n_samples))
-            columns = [block.ch1[part], block.ch2[part], block.common[part]]
-            out.rows(np.column_stack([times / block.sample_rate, *columns]))
-        start += block.n_samples
+            out.rows(np.column_stack([block.ch1[part], block.ch2[part], block.common[part]]))
         yield block

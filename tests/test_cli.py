@@ -324,7 +324,7 @@ def test_analyze_bad_value_in_last_range(tmp_path, long_dumps):
 
 def test_analyze_header_only_file(tmp_path, capsys):
     path = tmp_path / "timeseries.csv"
-    path.write_text("# sample_rate_hz = 5e7\n# columns: time_s,ch1_m,ch2_m,common_m\n")
+    path.write_text("# sample_rate_hz = 5e7\n# columns: ch1_m,ch2_m,common_m\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["analyze", "--timeseries", str(path)]) == 1
@@ -449,7 +449,7 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
     assert "common pieces=0, increments=3 (Brownian-difference moving sum)" in manifest["prng"]
-    assert manifest["version"] == holonoise.__version__ == "0.11.0"
+    assert manifest["version"] == holonoise.__version__ == "0.12.0"
     assert manifest["numpy_version"] == np.__version__
     import hashlib
 
@@ -498,9 +498,9 @@ def test_simulate_spectra_are_welch_of_synthesize_pair(tmp_path, cpus):
     expected = np.column_stack([est.freqs, est.psd1, est.psd2, est.csd.real, est.csd.imag,
                                 est.coherence])
     assert data.tobytes() == expected.tobytes()
-    _, series = read_csv(run / "timeseries.csv")
-    assert series[:, 1:].tobytes() == np.column_stack([pair.ch1, pair.ch2, pair.common]).tobytes()
-    assert series[:, 0].tobytes() == (np.arange(cfg.n_samples) / cfg.sample_rate).tobytes()
+    meta, series = read_csv(run / "timeseries.csv")
+    assert int(meta["n_samples"]) == cfg.n_samples
+    assert series.tobytes() == np.column_stack([pair.ch1, pair.ch2, pair.common]).tobytes()
 
 
 #: A launcher for `peak_rss_mb`: forks, runs the command in its arguments
@@ -591,17 +591,17 @@ def test_detect_refuses_a_timeseries_in_memory_that_does_not_grow_with_n(tmp_pat
         peaks.append(peak_rss_mb(["detect", "--estimate", str(path), "--band", "0:1e6"],
                                  stderr, code=1))
         assert stderr.read_text() == (f"error: spectra file {path} lacks header fields: "
-                                      "n_avg, n_samples, window\n")
+                                      "n_avg, window\n")
     assert abs(peaks[1] - peaks[0]) <= 10.0, peaks
 
 
 def test_detect_refuses_a_timeseries_before_parsing_it(tmp_path, capsys):
     bad = tmp_path / "timeseries.csv"
-    bad.write_text("# sample_rate_hz = 5e7\n# segment_length = 1024\n# overlap = 0.5\n"
-                   "# columns: time_s,ch1_m,ch2_m,common_m\n0,zz,0,0\n")
+    bad.write_text("# sample_rate_hz = 5e7\n# n_samples = 1\n# segment_length = 1024\n"
+                   "# overlap = 0.5\n# columns: ch1_m,ch2_m,common_m\nzz,0,0\n")
     assert main(["detect", "--estimate", str(bad), "--band", "0:1e6"]) == 1
     assert capsys.readouterr().err == (f"error: spectra file {bad} lacks header fields: "
-                                       "n_avg, n_samples, window\n")
+                                       "n_avg, window\n")
 
 
 def test_simulate_env_var_output_dir(tmp_path, config_path, monkeypatch):
@@ -968,9 +968,10 @@ def test_analyze_without_segmenting_headers_is_refused(tmp_path):
     # analyze takes its segmenting from the file alone; it used to fall back
     # to ExperimentConfig's 8192-sample, 50%-overlap defaults here.
     rng = np.random.default_rng(3)
-    rows = np.column_stack([np.arange(16384) / 5e7, rng.standard_normal((16384, 2))])
+    rows = rng.standard_normal((16384, 3))
     series = tmp_path / "timeseries.csv"
-    _write_csv(series, _csv_header({"sample_rate_hz": 5e7}, ["time_s", "ch1_m", "ch2_m"]), rows)
+    _write_csv(series, _csv_header({"sample_rate_hz": 5e7, "n_samples": 16384},
+                                   ["ch1_m", "ch2_m", "common_m"]), rows)
     proc = run_python("-m", "holonoise.cli", "analyze", "--timeseries", str(series))
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -980,13 +981,13 @@ def test_analyze_without_segmenting_headers_is_refused(tmp_path):
 
 
 def test_analyze_without_sample_rate_is_refused(tmp_path):
-    # The rate comes from the header, never from the time column.
+    # The rate comes from the header alone; no column holds a time.
     bad = tmp_path / "timeseries.csv"
-    bad.write_text("# columns: time_s,ch1_m,ch2_m\n0,1e-15,2e-15\n")
+    bad.write_text("# columns: ch1_m,ch2_m,common_m\n1e-15,2e-15,0\n")
     proc = run_python("-m", "holonoise.cli", "analyze", "--timeseries", str(bad))
     assert proc.returncode == 1
     assert proc.stderr == (f"error: timeseries file {bad} lacks header fields: "
-                           "overlap, sample_rate_hz, segment_length\n")
+                           "n_samples, overlap, sample_rate_hz, segment_length\n")
 
 
 @pytest.fixture(scope="module")
@@ -1000,21 +1001,35 @@ def dumped_series(tmp_path_factory):
     return (rundir / "timeseries.csv").read_text(), (rundir / "spectra.csv").read_bytes()
 
 
-def edited_time(text):
-    """``text`` with the time of row 1000 scaled by 1.001."""
+def without_row_1000(text):
+    """``text`` with its data row 1000 deleted."""
     lines = text.splitlines(keepends=True)
     row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1000
-    time, _, rest = lines[row].partition(",")
-    lines[row] = f"{float(time) * 1.001!r},{rest}"
-    return "".join(lines)
+    return "".join(lines[:row] + lines[row + 1 :])
+
+
+def in_the_0_11_layout(text):
+    """``text`` as 0.11.0 wrote it: no n_samples line, and each row led by its time."""
+    header, rows = [], []
+    for line in text.splitlines(keepends=True):
+        if line.startswith("# columns: "):
+            header.append("# columns: time_s,ch1_m,ch2_m,common_m\n")
+        elif line.startswith("#"):
+            header.append(line)
+        else:
+            rows.append(f"{len(rows) / 5e7:.17g},{line}")
+    return "".join(line for line in header if not line.startswith("# n_samples")) + "".join(rows)
 
 
 @pytest.mark.parametrize("edit,reason", [
     (lambda text: text.replace("# overlap = 0.5\n", ""), "lacks header fields: overlap"),
     (lambda text: text.replace("# sample_rate_hz = 50000000\n", ""),
      "lacks header fields: sample_rate_hz"),
-    (lambda text: re.sub(r",[^,\n]*$", "", text, flags=re.M), "must have 4 columns, found 3"),
-    (edited_time, "time column is not arange(n) / rate"),
+    (lambda text: re.sub(r",[^,\n]*$", "", text, flags=re.M), "must have 3 columns, found 2"),
+    (without_row_1000, "has 32767 rows; its header gives n_samples = 32768"),
+    (lambda text: text + text.splitlines(keepends=True)[-1],
+     "has more than 32768 rows; its header gives n_samples = 32768"),
+    (in_the_0_11_layout, "lacks header fields: n_samples"),
     (lambda text: text.replace("# segment_length = 1024\n", "# segment_length = 1099511627776\n"),
      "shorter than one segment (1099511627776)"),
 ])
@@ -1032,32 +1047,39 @@ def test_analyze_refuses_a_dump_that_does_not_vouch_for_itself(tmp_path, dumped_
     assert reason in proc.stderr
 
 
-def test_analyze_refuses_a_forged_segment_length_before_the_last_range(
-        tmp_path, dumped_series, monkeypatch, capsys):
-    # 65536 passes the up-front bound of data bytes / 8, but not the bound of
-    # rows parsed plus unread bytes / 8 once most ranges are in; Welch used to
-    # carry the whole series, and make a window that long, before refusing it.
-    text, _ = dumped_series
-    bad = tmp_path / "timeseries.csv"
-    bad.write_text(text.replace("# segment_length = 1024\n", "# segment_length = 65536\n"))
-    data_bytes = len(text.encode()) - text.index("\n0,") - 1
-    assert data_bytes // 8 > 65536
+def recorded_ranges_and_windows(monkeypatch):
+    """The stops of the byte ranges parsed and the lengths of the windows made
+    from here on, in 4 kB ranges on one CPU."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(files, "RANGE_BYTES", 1 << 12)
-    parse_range, stops = files._parse_range, []
+    parse_range, hann_window, stops, windows = files._parse_range, spectral.hann_window, [], []
 
     def recorded(task):
         stops.append(task[2])
         return parse_range(task)
 
-    monkeypatch.setattr(files, "_parse_range", recorded)
-    hann_window, windows = spectral.hann_window, []
-
     def window(length):
         windows.append(length)
         return hann_window(length)
 
+    monkeypatch.setattr(files, "_parse_range", recorded)
     monkeypatch.setattr(spectral, "hann_window", window)
+    return stops, windows
+
+
+def test_analyze_refuses_a_forged_segment_length_before_the_last_range(
+        tmp_path, dumped_series, monkeypatch, capsys):
+    # 65536, forged with n_samples, passes the up-front bound of data bytes
+    # / 6, but not the bound of rows parsed plus unread bytes / 6 once most
+    # ranges are in; Welch used to carry the whole series, and make a window
+    # that long, before refusing it.
+    text, _ = dumped_series
+    bad = tmp_path / "timeseries.csv"
+    bad.write_text(text.replace("# segment_length = 1024\n", "# segment_length = 65536\n")
+                   .replace("# n_samples = 32768\n", "# n_samples = 65536\n"))
+    data_bytes = len(text.encode()) - text.index("\n", text.index("# columns: ")) - 1
+    assert data_bytes // 6 > 65536
+    stops, windows = recorded_ranges_and_windows(monkeypatch)
     assert main(["analyze", "--timeseries", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: timeseries file {bad} is shorter than one segment (65536): "
@@ -1067,14 +1089,28 @@ def test_analyze_refuses_a_forged_segment_length_before_the_last_range(
     assert windows == []
 
 
+def test_analyze_refuses_a_segment_longer_than_n_samples_before_parsing(
+        tmp_path, dumped_series, monkeypatch, capsys):
+    # The data bytes could hold 65536 rows, but the header's n_samples is
+    # the exact length, so no range is parsed and no window is made.
+    text, _ = dumped_series
+    bad = tmp_path / "timeseries.csv"
+    bad.write_text(text.replace("# segment_length = 1024\n", "# segment_length = 65536\n"))
+    stops, windows = recorded_ranges_and_windows(monkeypatch)
+    assert main(["analyze", "--timeseries", str(bad)]) == 1
+    assert capsys.readouterr().err == (f"error: timeseries file {bad} is shorter than one "
+                                       "segment (65536): its header gives n_samples = 32768\n")
+    assert stops == [] and windows == []
+
+
 def test_analyze_refuses_a_sample_too_large_to_square(tmp_path, dumped_series):
     # 1e200 passes the finite check, but its square overflows, so the
     # spectra would be nan; they are refused without a RuntimeWarning.
     text, _ = dumped_series
     lines = text.splitlines(keepends=True)
     row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1000
-    time, _, rest = lines[row].partition(",")
-    lines[row] = f"{time},1e200,{rest.partition(',')[2]}"
+    ch1, _, rest = lines[row].partition(",")
+    lines[row] = f"{ch1},1e200,{rest.partition(',')[2]}"
     bad = tmp_path / "timeseries.csv"
     bad.write_text("".join(lines))
     out = tmp_path / "spectra.csv"
