@@ -15,9 +15,9 @@ back from its worker through a ring of shared memory, not a pipe.
 The files holonoise reads back are of the kinds in `KINDS`: a name, header
 fields with their types, and columns, which `_Input` checks a file against.
 ``simulate`` drops a manifest recording the config, constants, package and
-numpy versions, PRNG identity, and SHA-256 of every output; ``detect``
-refuses a spectra file whose digest differs from the one a manifest beside
-it records.
+numpy versions, numpy's SIMD dispatch, PRNG identity, and SHA-256 of every
+output; ``detect`` refuses a spectra file whose digest differs from the one
+a manifest beside it records.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ class _Input:
             if size == start:
                 raise DomainError(f"{self.path} has no data rows")
             self.header = self.kind.parse(self.meta, self.path)
-            self.data_bytes = self.unread = size - start
+            self.data_bytes = size - start
             # Cut the data at the first newline after every RANGE_BYTES, so
             # each range holds whole lines.
             cuts = [start]
@@ -284,14 +284,27 @@ class _Input:
         # Stops the workers, then closes the file.
         self.resources.close()
 
-    def parts(self) -> Iterator[np.ndarray]:
+    def parts(self, rows: int, needs: str) -> Iterator[np.ndarray]:
         """The data rows as 2-D arrays, one per range that holds any, in file order,
-        each refused unless it has the kind's number of columns.
+        each refused unless it has the kind's number of columns, and the file
+        refused unless it holds ``rows`` rows, ``needs`` saying why it must.
 
-        While the caller holds a part, ``rows`` counts the rows before it and
-        ``unread`` the data bytes after it; once every part has been taken,
-        ``rows`` counts them all.
+        A part that runs past ``rows`` is refused as it arrives, and a file
+        that ends short once it is read.  A data row takes at least two bytes
+        a column, "0,0,0\n" (one fewer for a last row without its newline),
+        so the rows parsed and the data bytes still unread bound the rows the
+        file can hold: a count they cannot reach is refused before any range
+        is parsed and as each part arrives while any byte is unread (after
+        that, the file's own count says more).  Once every part has been
+        taken, the attribute ``rows`` counts them all.
         """
+        columns = len(self.kind.columns)
+        what = f"{self.kind.name} file {self.path}"
+
+        def reachable(unread: int) -> None:
+            most = self.rows + (unread + 1) // (2 * columns)
+            if unread and most < rows:
+                raise DomainError(f"{what} holds at most {most} rows; {needs}")
 
         def parsed():
             try:
@@ -301,19 +314,22 @@ class _Input:
             except ValueError as exc:
                 raise DomainError(f"malformed CSV {self.path}: {exc}") from exc
 
-        columns = len(self.kind.columns)
+        reachable(self.data_bytes)
         # Each range gives one result, in range order.
         for (_, _, stop), part in zip(self.ranges, parsed()):
-            self.unread = self.size - stop
             if not len(part):  # a range of comment lines alone parses to no rows
                 continue
             if part.shape[1] != columns:
-                raise DomainError(f"{self.kind.name} file {self.path} must have {columns} "
-                                  f"columns, found {part.shape[1]}")
-            yield part
+                raise DomainError(f"{what} must have {columns} columns, found {part.shape[1]}")
             self.rows += len(part)
+            if self.rows > rows:
+                raise DomainError(f"{what} has more than {rows} rows; {needs}")
+            reachable(self.size - stop)
+            yield part
         if not self.rows:
             raise DomainError(f"{self.path} has no data rows")
+        if self.rows != rows:
+            raise DomainError(f"{what} has {self.rows} rows; {needs}")
 
 
 def load_config(path: Path) -> ExperimentConfig:
@@ -340,6 +356,17 @@ def _report_dict(report) -> dict:
     }
 
 
+def numpy_cpu_dispatch() -> list[str]:
+    """The SIMD targets numpy dispatches to on this CPU, some of which round
+    differently: those of its ``__cpu_dispatch__`` that ``__cpu_features__``
+    marks on."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
 def _write_manifest(path: Path, command: str, config: dict, outputs: dict[str, str]) -> None:
     manifest = {
         "command": command,
@@ -347,6 +374,7 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: dict[str, s
         "constants": CONSTANTS.as_dict(),
         "version": __version__,
         "numpy_version": np.__version__,
+        "numpy_cpu_dispatch": numpy_cpu_dispatch(),
         "prng": PRNG_IDENTIFIER,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
@@ -420,14 +448,7 @@ def _read_spectra(path: Path) -> SpectralEstimate:
         # The rows must be the whole Welch grid the header describes, so a file
         # cut short, run long or with an edited header is refused rather than trusted.
         rows = segment_length // 2 + 1
-        needs = f"segment_length = {segment_length} needs {rows}"
-        parts = []
-        for part in csv.parts():
-            if csv.rows + len(part) > rows:
-                raise DomainError(f"spectra file {path} has more than {rows} rows; {needs}")
-            parts.append(part)
-    if csv.rows != rows:
-        raise DomainError(f"spectra file {path} has {csv.rows} rows; {needs}")
+        parts = list(csv.parts(rows, f"segment_length = {segment_length} needs {rows}"))
     data = np.concatenate(parts)
     grid = np.fft.rfftfreq(segment_length, 1.0 / sample_rate)
     if not np.allclose(data[:, 0], grid, rtol=1e-12, atol=0.0):
@@ -480,30 +501,10 @@ def _read_timeseries(path: Path) -> tuple[SpectralEstimate, int]:
             raise DomainError(f"timeseries file {path} is shorter than one segment "
                               f"({segment_length}): {needs}")
 
-        def hold_a_segment(rows: int) -> None:
-            # A data row takes at least 6 bytes, "0,0,0\n" (5 for a last row
-            # without its newline), so the rows parsed and the bytes still unread
-            # bound the series whatever n_samples says: checked before a window
-            # is made and as parts arrive, so a forged segment length is refused
-            # before Welch carries the whole series.
-            most = rows + (series.unread + 1) // 6
-            if segment_length > most:
-                raise DomainError(f"timeseries file {path} is shorter than one segment "
-                                  f"({segment_length}): its {series.data_bytes} data bytes "
-                                  f"hold at most {most} rows")
-
-        hold_a_segment(0)
-
         def blocks():
-            for part in series.parts():
-                if series.rows + len(part) > n_samples:
-                    raise DomainError(f"timeseries file {path} has more than {n_samples} rows; "
-                                      f"{needs}")
-                hold_a_segment(series.rows + len(part))
+            for part in series.parts(n_samples, needs):
                 pair = TimeSeriesPair(sample_rate, *part.T)
                 yield pair.ch1, pair.ch2
-            if series.rows != n_samples:
-                raise DomainError(f"timeseries file {path} has {series.rows} rows; {needs}")
 
         return welch_blocks(blocks(), sample_rate, segment_length, overlap), n_samples
 

@@ -172,19 +172,19 @@ def welch_blocks(
     # Samples too large to square give sums that are refused below.
     with np.errstate(over="ignore", invalid="ignore"):
 
-        def accumulate(segments, first, stop):
-            """Sum segments ``first`` to ``stop``, which ``segments`` holds from
-            ``first`` on, a batch of at most ``rows`` at a time.  A batch ends
-            at the end of its chunk, whose sums then join the totals."""
+        def accumulate(segments):
+            """Sum ``segments``, segments ``done`` on, a batch of at most ``rows``
+            at a time.  A batch ends at the end of its chunk, whose sums then
+            join the totals."""
             nonlocal totals, csd, win
             if win is None:
                 win = hann_window(segment_length)
-            lo = first
+            lo, stop = done, done + len(segments[0])
             while lo < stop:
                 k = min(rows, stop - lo, SEGMENT_CHUNK - lo % SEGMENT_CHUNK)
                 continued = lo % SEGMENT_CHUNK > 0
                 for seg, spectrum, total in zip(segments, spectra, power):
-                    chunk = seg[lo - first : lo - first + k]
+                    chunk = seg[lo - done : lo - done + k]
                     x = scratch[: k * segment_length].reshape(k, segment_length)
                     np.subtract(chunk, chunk.mean(axis=-1, keepdims=True), out=x)
                     x *= win
@@ -202,9 +202,6 @@ def welch_blocks(
                     totals += power
                     csd += cross
 
-        def windows(series, count):
-            return [sliding_window_view(ch, segment_length)[::step][:count] for ch in series]
-
         for block in blocks:
             channels = [np.ascontiguousarray(ch, dtype=float) for ch in block]
             if len(channels[0]) != len(channels[1]):
@@ -213,25 +210,17 @@ def welch_blocks(
                     f"{len(channels[1])} samples; a pair needs equal lengths"
                 )
             n += len(channels[0])
-            # Segment ``done`` starts at carry[0].  The ``head`` segments that
-            # start in the carry are cut from it joined to the block's first
-            # samples; the rest are cut from the block itself.
-            c = len(carry[0])
-            whole = max(0, (c + len(channels[0]) - segment_length) // step + 1)
-            head = min(whole, -(-c // step))
-            if head:
-                joined = [np.concatenate((old, ch[: (head - 1) * step + segment_length - c]))
-                          for old, ch in zip(carry, channels)]
-                accumulate(windows(joined, head), done, done + head)
-            if whole > head:
-                body = [ch[head * step - c :] for ch in channels]
-                accumulate(windows(body, whole - head), done + head, done + whole)
-            start = whole * step - c  # of segment done + whole, in the block
-            if start >= 0:
-                carry = [ch[start:].copy() for ch in channels]
-            else:
-                carry = [np.concatenate((old[whole * step :], ch))
-                         for old, ch in zip(carry, channels)]
+            # Segment ``done`` starts at the carry, so every whole segment is
+            # cut from the carry joined to the block, and the samples after
+            # them are carried on; with nothing carried, the block is used as
+            # it is.
+            if len(carry[0]):
+                channels = [np.concatenate((old, ch)) for old, ch in zip(carry, channels)]
+            whole = max(0, (len(channels[0]) - segment_length) // step + 1)
+            if whole:
+                accumulate([sliding_window_view(ch, segment_length)[::step][:whole]
+                            for ch in channels])
+            carry = [ch[whole * step :].copy() for ch in channels]
             done += whole
         if not done:
             raise DomainError(

@@ -44,6 +44,7 @@ from holonoise.files import (
     _Output,
     _write_csv,
     load_config,
+    numpy_cpu_dispatch,
 )
 
 SMALL_CONFIG = {
@@ -267,7 +268,7 @@ def test_read_csv_multi_range_is_bit_exact(tmp_path, block_rows, cpus):
     path = tmp_path / "blocks.csv"
     path.write_bytes(expected)
     with _Input(path, FileKind("rows", {"sample_rate_hz": float}, ("a", "b", "c", "d"))) as csv:
-        parts = list(csv.parts())
+        parts = list(csv.parts(len(rows), "the test wrote them"))
     # More than WORKER_BYTES of data, so parsed on a worker per CPU.
     assert csv.data_bytes > WORKER_BYTES and csv.parser.workers == cpus
     assert csv.meta == {"sample_rate_hz": "50000000"}
@@ -288,12 +289,12 @@ def test_input_checks_the_header_fields_and_columns_of_its_kind(tmp_path, kind):
     _write_csv(path, kind.header(*values), np.ones((3, columns)))
     with _Input(path, kind) as csv:
         assert csv.header == values
-        assert np.concatenate(list(csv.parts())).shape == (3, columns)
+        assert np.concatenate(list(csv.parts(3, "the test wrote 3"))).shape == (3, columns)
     _write_csv(path, kind.header(*values), np.ones((3, columns + 1)))
     with _Input(path, kind) as csv:
         message = f"{kind.name} file {path} must have {columns} columns, found {columns + 1}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            list(csv.parts())
+            list(csv.parts(3, "the test wrote 3"))
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +452,8 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert "common pieces=0, increments=3 (Brownian-difference moving sum)" in manifest["prng"]
     assert manifest["version"] == holonoise.__version__ == "0.12.0"
     assert manifest["numpy_version"] == np.__version__
+    # Kept out of every hashed output; it explains bits that differ by host.
+    assert manifest["numpy_cpu_dispatch"] == numpy_cpu_dispatch()
     import hashlib
 
     for name, digest in manifest["outputs"].items():
@@ -464,6 +467,19 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
 
     printed = capsys.readouterr().out
     assert "spectra.csv" in printed
+
+
+def test_numpy_cpu_dispatch_reads_the_targets_switched_on():
+    # numpy reads NPY_DISABLE_CPU_FEATURES as it starts, so a child with
+    # every target but the lowest switched off dispatches to that one alone.
+    dispatch = numpy_cpu_dispatch()
+    if len(dispatch) < 2:
+        pytest.skip(f"numpy dispatches to {dispatch} on this CPU; none to switch off")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(dispatch[1:]))
+    proc = run_python("-c", "from holonoise.files import numpy_cpu_dispatch; "
+                      "print(numpy_cpu_dispatch())", env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{dispatch[:1]}\n"
 
 
 def test_simulate_deterministic_across_runs(tmp_path, config_path):
@@ -1069,10 +1085,10 @@ def recorded_ranges_and_windows(monkeypatch):
 
 def test_analyze_refuses_a_forged_segment_length_before_the_last_range(
         tmp_path, dumped_series, monkeypatch, capsys):
-    # 65536, forged with n_samples, passes the up-front bound of data bytes
-    # / 6, but not the bound of rows parsed plus unread bytes / 6 once most
-    # ranges are in; Welch used to carry the whole series, and make a window
-    # that long, before refusing it.
+    # n_samples = 65536, forged with the segment length, passes the up-front
+    # bound of data bytes / 6, but not the bound of rows parsed plus unread
+    # bytes / 6 once most ranges are in; Welch used to carry the whole
+    # series, and make a window that long, before refusing it.
     text, _ = dumped_series
     bad = tmp_path / "timeseries.csv"
     bad.write_text(text.replace("# segment_length = 1024\n", "# segment_length = 65536\n")
@@ -1082,8 +1098,8 @@ def test_analyze_refuses_a_forged_segment_length_before_the_last_range(
     stops, windows = recorded_ranges_and_windows(monkeypatch)
     assert main(["analyze", "--timeseries", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: timeseries file {bad} is shorter than one segment (65536): "
-                          f"its {data_bytes} data bytes hold at most ")
+    assert err.startswith(f"error: timeseries file {bad} holds at most ")
+    assert err.endswith(" rows; its header gives n_samples = 65536\n")
     assert len(err.splitlines()) == 1
     assert max(stops) < bad.stat().st_size
     assert windows == []
@@ -1100,6 +1116,25 @@ def test_analyze_refuses_a_segment_longer_than_n_samples_before_parsing(
     assert main(["analyze", "--timeseries", str(bad)]) == 1
     assert capsys.readouterr().err == (f"error: timeseries file {bad} is shorter than one "
                                        "segment (65536): its header gives n_samples = 32768\n")
+    assert stops == [] and windows == []
+
+
+def test_detect_refuses_a_forged_row_count_before_parsing(tmp_path, config_path, monkeypatch,
+                                                          capsys):
+    # segment_length, n_samples and n_avg forged together pass the header
+    # checks, but 524289 rows cannot fit in the file's data bytes at two a
+    # column, so no range is parsed; the whole file used to be parsed first.
+    spectra = unvouched_spectra(tmp_path, config_path)
+    text = spectra.read_text()
+    spectra.write_text(text.replace("# segment_length = 1024\n", "# segment_length = 1048576\n")
+                       .replace("# n_samples = 32768\n", "# n_samples = 1048576\n")
+                       .replace("# n_avg = 63\n", "# n_avg = 1\n"))
+    data_bytes = len(text) - text.index("\n", text.index("# columns: ")) - 1
+    most = (data_bytes + 1) // 12
+    stops, windows = recorded_ranges_and_windows(monkeypatch)
+    assert main(["detect", "--estimate", str(spectra), "--band", "0:1e6"]) == 1
+    assert capsys.readouterr().err == (f"error: spectra file {spectra} holds at most {most} "
+                                       "rows; segment_length = 1048576 needs 524289\n")
     assert stops == [] and windows == []
 
 

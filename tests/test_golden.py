@@ -4,10 +4,12 @@ Each output is hashed with its ``# holonoise v…`` line removed, so a version
 bump alone does not change the table.  The bits are numpy's (its Philox
 normals and pocketfft), so ``tests/golden.json`` is keyed by numpy
 ``major.minor``; on a numpy with no entry the test skips and names the
-version.  Every run is made at 1 and 2 CPUs (the ``cpus`` fixture), so the
-table also holds the bits to not depending on the CPU count.  A change
-that moves a digest updates the table, bumps the version and names each
-changed output in CHANGES.md.  To print the table for the numpy at hand:
+version.  numpy's SIMD dispatch also moves some bits, so a digest that
+differs is reported with the dispatch targets in use.  Every run is made
+at 1 and 2 CPUs (the ``cpus`` fixture), so the table also holds the bits to
+not depending on the CPU count.  A change that moves a digest updates the
+table, bumps the version and names each changed output in CHANGES.md.  To
+print the table for the numpy at hand:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from holonoise.cli import main
+from holonoise.files import numpy_cpu_dispatch
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -120,7 +123,11 @@ def test_output_bits_match_the_golden_table(tmp_path, run, cpus):
     table = json.loads(GOLDEN.read_text())
     if numpy_key() not in table:
         pytest.skip(f"tests/golden.json has no digests for numpy {numpy_key()}")
-    assert RUNS[run](tmp_path) == table[numpy_key()][run]
+    assert RUNS[run](tmp_path) == table[numpy_key()][run], (
+        f"numpy {np.__version__} dispatches to {numpy_cpu_dispatch()} on this CPU; the table "
+        "was recorded under AVX-512 dispatch (X86_V4 and up), and under AVX2 or baseline "
+        "dispatch some digests differ with no code change (README, Reproducibility)"
+    )
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ The spectrum of a single series x is ``psd1`` of the pair (x, x).
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,17 +237,32 @@ def cut(series: list[np.ndarray], sizes: list[int]) -> list[tuple]:
 @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75], ids=lambda overlap: f"{overlap}-hann")
 @pytest.mark.parametrize("detrend", ["constant", False])
 def test_streamed_welch_is_the_one_shot_welch(cpus, parity_pair, overlap, detrend):
-    # Blocks that split segments and chunks anywhere, and blocks shorter
-    # than a segment, all give the one-shot bits.
+    # Blocks that split segments and chunks anywhere, blocks shorter than a
+    # segment, and empty and one-sample blocks between them, all give the
+    # one-shot bits.
     pair = parity_pair if detrend else zero_mean_pair(parity_pair, overlap)
     est = welch_csd(pair, SEG, overlap)
-    sizes = [700, 150_001, 999, 40_000]
+    sizes = [700, 0, 150_001, 1, 999, 0, 1, 40_000]
     threads_before = threading.active_count()
     streamed = welch_blocks(cut([pair.ch1, pair.ch2], sizes), FS, SEG, overlap)
     assert threading.active_count() == threads_before
     assert streamed.n_avg == est.n_avg == segment_count(pair.n_samples, SEG, overlap)
     for name in ("psd1", "psd2", "csd", "coherence"):
         assert getattr(streamed, name).tobytes() == getattr(est, name).tobytes()
+
+
+def test_one_shot_welch_copies_no_series():
+    # Nothing is carried into the one block welch_csd hands over, so the
+    # pass cuts its segments from the series itself: a copy of the pair
+    # would take 16 MB here, and the pass's own arrays take under 2 MB.
+    pair = make_pair(*(white_noise(1e-18, FS, 2**20, 21, stream) for stream in (1, 2)))
+    tracemalloc.start()
+    try:
+        welch_csd(pair, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pair.ch1.nbytes / 2
 
 
 def test_welch_starts_no_thread(monkeypatch, parity_pair):
