@@ -17,7 +17,7 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .constants import CONSTANTS, PhysicalConstants, codata_constants
 from .detection import (

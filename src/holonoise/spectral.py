@@ -4,13 +4,12 @@ One numpy pass yields the auto- and cross-spectra of a pair: the series is
 cut into strided segment views, whose means are removed, which are windowed
 and go through one ``rfft`` per channel, about ``FFT_BATCH_SAMPLES``
 samples per call, and whose ``|X1|^2``, ``|X2|^2`` and ``conj(X1) X2`` are
-summed over chunks of ``SEGMENT_CHUNK`` segments.  The pass consumes the
-series as consecutive blocks (`welch_blocks`), in the calling thread:
-segments are counted from the first sample, the samples of the segment a
-block cuts are carried into the next, and each chunk sum joins the running
-total in chunk order as the chunk completes, so memory is fixed by the
-block, not the series, and the bits depend on neither the cut into blocks
-nor the batch size.  `welch_csd` is the one-block case.  The sums carry
+added to one running sum in segment order.  The pass consumes the series
+as consecutive blocks (`welch_blocks`), in the calling thread: segments
+are counted from the first sample, and the samples of the segment a block
+cuts are carried into the next, so memory is fixed by the block, not the
+series, and the bits depend on neither the cut into blocks nor the batch
+size.  `welch_csd` is the one-block case.  The sums carry
 scipy.signal's one-sided density scaling (Welch 1967; Heinzel, Ruediger &
 Schilling 2002) with ``detrend="constant"``: a flat input returns its ASD^2
 level, and DC and Nyquist are not doubled.  The window is always the
@@ -36,13 +35,8 @@ from .errors import DomainError
 if TYPE_CHECKING:
     from .synthesis import TimeSeriesPair
 
-#: Segments summed before their sum joins the running total; this fixes the
-#: order of the additions, and so the bits of every spectrum.
-SEGMENT_CHUNK = 32
-
 #: Samples windowed and transformed per FFT call (whole segments, at least
-#: one and at most a chunk); small enough for the working arrays to stay in
-#: cache.
+#: one); small enough for the working arrays to stay in cache.
 FFT_BATCH_SAMPLES = 1 << 15
 
 
@@ -106,19 +100,6 @@ def coherence_of(psd1: np.ndarray, psd2: np.ndarray, csd: np.ndarray) -> np.ndar
     return np.clip(coherence, 0.0, 1.0, out=coherence)
 
 
-def _sum_rows(terms: np.ndarray, k: int, carry: bool, out: np.ndarray) -> None:
-    """``out`` = terms[1], ..., terms[k] added in order, after ``out`` when ``carry``.
-
-    Rows are added one after another, so a chunk summed a batch at a time
-    gets the same bits as a chunk summed at once.  terms[0] is overwritten.
-    """
-    if carry:
-        terms[0] = out
-        terms[: k + 1].sum(axis=0, out=out)
-    else:
-        terms[1 : k + 1].sum(axis=0, out=out)
-
-
 def welch_blocks(
     blocks: Iterable,
     sample_rate: float,
@@ -149,58 +130,42 @@ def welch_blocks(
     Segments are counted from the first sample, and the samples of a
     segment not yet whole, fewer than ``segment_length``, are carried into
     the next block.  Segments go through the FFT a batch at a time in the
-    calling thread, no batch runs past the end of its chunk, and every
-    chunk sum joins the running total in chunk order as the chunk
-    completes, so the result is the same bits for any cut into blocks.
-    Spectra that are not finite, from a sample that is not or whose square
-    is not, are refused.
+    calling thread, and each segment's terms are added to one running sum
+    in segment order, so the result is the same bits for any cut into
+    blocks and any batch size.  Every array whose size comes from
+    ``segment_length`` is made with the first whole segment, so a series
+    too short is refused before any is.  Spectra that are not finite, from
+    a sample that is not or whose square is not, are refused.
     """
     check_segment_length(segment_length)
     step = segment_step(segment_length, overlap)
-    win = None  # made with the first whole segment, so a series too short makes none
     n_freq = segment_length // 2 + 1
-    rows = min(SEGMENT_CHUNK, max(1, FFT_BATCH_SAMPLES // segment_length))
-    scratch = np.empty(max(rows * segment_length, 2 * (rows + 1) * n_freq))
-    spectra = np.empty((2, rows, n_freq), dtype=complex)
-    terms = np.empty((rows + 1, n_freq))
-
+    rows = max(1, FFT_BATCH_SAMPLES // segment_length)
     n = done = 0  # samples seen, and segments summed, so far
     carry = [np.empty(0), np.empty(0)]
-    # The sums of the chunk in progress, and of the chunks before it.
-    power, cross = np.empty((2, n_freq)), np.empty(n_freq, dtype=complex)
-    totals, csd = np.zeros((2, n_freq)), np.zeros(n_freq, dtype=complex)
+    sums = None  # |X1|^2, |X2|^2 and conj(X1) X2 (its last two rows, as complex)
     # Samples too large to square give sums that are refused below.
     with np.errstate(over="ignore", invalid="ignore"):
 
         def accumulate(segments):
-            """Sum ``segments``, segments ``done`` on, a batch of at most ``rows``
-            at a time.  A batch ends at the end of its chunk, whose sums then
-            join the totals."""
-            nonlocal totals, csd, win
-            if win is None:
-                win = hann_window(segment_length)
-            lo, stop = done, done + len(segments[0])
-            while lo < stop:
-                k = min(rows, stop - lo, SEGMENT_CHUNK - lo % SEGMENT_CHUNK)
-                continued = lo % SEGMENT_CHUNK > 0
-                for seg, spectrum, total in zip(segments, spectra, power):
-                    chunk = seg[lo - done : lo - done + k]
+            """Add the terms of ``segments`` to ``sums`` segment after segment,
+            a batch of at most ``rows`` at a time."""
+            for lo in range(0, len(segments[0]), rows):
+                k = min(rows, len(segments[0]) - lo)
+                for i, seg in enumerate(segments):
+                    batch = seg[lo : lo + k]
                     x = scratch[: k * segment_length].reshape(k, segment_length)
-                    np.subtract(chunk, chunk.mean(axis=-1, keepdims=True), out=x)
+                    np.subtract(batch, batch.mean(axis=-1, keepdims=True), out=x)
                     x *= win
-                    spec = np.fft.rfft(x, out=spectrum[:k])
-                    im2 = np.square(spec.imag, out=scratch[: k * n_freq].reshape(k, n_freq))
-                    re2 = np.square(spec.real, out=terms[1 : k + 1])
-                    re2 += im2
-                    _sum_rows(terms, k, continued, total)
-                prod = scratch[: 2 * (k + 1) * n_freq].view(complex).reshape(k + 1, n_freq)
-                np.conjugate(spectra[0][:k], out=prod[1:])
-                prod[1:] *= spectra[1][:k]
-                _sum_rows(prod, k, continued, cross)
-                lo += k
-                if lo % SEGMENT_CHUNK == 0:
-                    totals += power
-                    csd += cross
+                    spec = np.fft.rfft(x, out=spectra[i, :k])
+                    power = np.square(spec.real, out=terms[1 : k + 1, i])
+                    power += np.square(spec.imag, out=scratch[: k * n_freq].reshape(k, n_freq))
+                cross = terms[1 : k + 1, 2:].reshape(k, 2 * n_freq).view(complex)
+                np.conjugate(spectra[0, :k], out=cross)
+                cross *= spectra[1, :k]
+                # Row after row onto the sums so far, so in segment order.
+                terms[0] = sums
+                terms[: k + 1].sum(axis=0, out=sums)
 
         for block in blocks:
             channels = [np.ascontiguousarray(ch, dtype=float) for ch in block]
@@ -218,6 +183,12 @@ def welch_blocks(
                 channels = [np.concatenate((old, ch)) for old, ch in zip(carry, channels)]
             whole = max(0, (len(channels[0]) - segment_length) // step + 1)
             if whole:
+                if sums is None:  # the first whole segment: make what accumulate uses
+                    win = hann_window(segment_length)
+                    scratch = np.empty(rows * segment_length)
+                    spectra = np.empty((2, rows, n_freq), dtype=complex)
+                    terms = np.empty((rows + 1, 4, n_freq))  # the sums, then a batch's terms
+                    sums = np.zeros((4, n_freq))
                 accumulate([sliding_window_view(ch, segment_length)[::step][:whole]
                             for ch in channels])
             carry = [ch[whole * step :].copy() for ch in channels]
@@ -226,15 +197,12 @@ def welch_blocks(
             raise DomainError(
                 f"series of length {n} is shorter than one segment ({segment_length})"
             )
-        if done % SEGMENT_CHUNK:
-            totals += power
-            csd += cross
         # One-sided density: every bin but DC and Nyquist carries both signs.
         scale = np.full(n_freq, 2.0 / (sample_rate * float(np.sum(win * win)) * done))
         scale[0] /= 2.0
         scale[-1] /= 2.0
-        psd1, psd2 = totals * scale
-        csd *= scale
+        psd1, psd2 = sums[:2] * scale
+        csd = sums[2:].reshape(2 * n_freq).view(complex) * scale
         # The products coherence_of takes overflow when a sample is not
         # finite or too large to square.
         if not (np.isfinite(psd1 * psd2).all() and np.isfinite(np.abs(csd) ** 2).all()):
@@ -265,8 +233,5 @@ def welch_csd(
     averaged spectra and clipped to [0, 1]; bins with zero PSD product get
     coherence 0.
     """
-    if segment_length > pair.n_samples:  # refused before the window is made that long
-        raise DomainError(f"series of length {pair.n_samples} is shorter than one segment "
-                          f"({segment_length})")
     return welch_blocks([(pair.ch1, pair.ch2)], pair.sample_rate, segment_length, overlap)
 

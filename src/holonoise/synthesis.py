@@ -65,8 +65,8 @@ STREAM_SHOT2 = 2
 STREAM_INCREMENTS = 3
 
 #: Samples per synthesized block, 512 kB an array.  At the default
-#: 8192-sample segments and 50% overlap that is 16 segment steps, half a
-#: Welch chunk; memory held between blocks does not grow with n_samples.
+#: 8192-sample segments and 50% overlap that is 16 segment steps; memory
+#: held between blocks does not grow with n_samples.
 #: README-default simulate peaked at 62 MB with blocks of 2^18, 50 MB with
 #: 2^17 and 44 MB with 2^16, with wall times within 5% of each other.
 BLOCK_SAMPLES = 1 << 16

@@ -7,7 +7,7 @@ starts, the same bytes on one BLAS thread and on two);
 one smoke test exercises the installed console script if present.  Simulation configs are kept small (2^15
 samples); the CSV block and byte-range tests share one 3 * 2^16-row, ~19 MB table,
 and the streamed ``analyze`` tests two dumps of 2^18 and 2^20 samples
-(~24 and ~94 MB), so the whole module stays around half a minute.
+(18.4 and 73.6 MB), so the whole module stays around half a minute.
 """
 
 import gc
@@ -450,7 +450,7 @@ def test_simulate_outputs_and_manifest(tmp_path, config_path, capsys):
     assert manifest["prng"] == PRNG_IDENTIFIER
     assert "philox" in manifest["prng"].lower()
     assert "common pieces=0, increments=3 (Brownian-difference moving sum)" in manifest["prng"]
-    assert manifest["version"] == holonoise.__version__ == "0.12.0"
+    assert manifest["version"] == holonoise.__version__ == "0.13.0"
     assert manifest["numpy_version"] == np.__version__
     # Kept out of every hashed output; it explains bits that differ by host.
     assert manifest["numpy_cpu_dispatch"] == numpy_cpu_dispatch()

@@ -13,7 +13,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from holonoise import (
     DomainError,
@@ -24,7 +23,6 @@ from holonoise import (
 )
 from holonoise import spectral
 from holonoise.spectral import (
-    SEGMENT_CHUNK,
     hann_window,
     segment_count,
     segment_step,
@@ -132,15 +130,18 @@ def test_hann_window_is_scipys(length):
     assert np.array_equal(hann_window(length), get_window("hann", length, fftbins=True))
 
 
-@pytest.mark.parametrize("overlap", [0.5, 0.25, 0.0], ids=lambda overlap: f"hann-{overlap}")
+@pytest.mark.parametrize("overlap,seg,n", [
+    pytest.param(0.5, 256, 256 * 69, id="hann-0.5"),
+    pytest.param(0.25, 256, 256 * 69, id="hann-0.25"),
+    pytest.param(0.0, 256, 256 * 69, id="hann-0.0"),
+    # 32767 segments: the one running sum's rounding grows with their number.
+    pytest.param(0.5, 64, 2**20, id="hann-0.5-32767"),
+])
 @pytest.mark.parametrize("detrend", ["constant", False])
-def test_welch_matches_scipy(overlap, detrend):
+def test_welch_matches_scipy(overlap, seg, n, detrend):
     from scipy import signal
 
-    seg = 256
-    # More segments than one chunk, and a partial last chunk.
-    n = seg * (2 * SEGMENT_CHUNK + 5)
-    cfg = ExperimentConfig(n_samples=2**16, seed=21, holo_scale=4.0)
+    cfg = ExperimentConfig(n_samples=max(n, 2**16), seed=21, holo_scale=4.0)
     full = synthesize_pair(cfg)
     channels = [full.ch1[:n] + 3e-16, full.ch2[:n]]
     if detrend is False:
@@ -159,7 +160,7 @@ def test_welch_matches_scipy(overlap, detrend):
         assert np.max(np.abs(mine - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-SEG, N_AVG = 1024, 613  # 20 chunks, the last of 5 segments
+SEG, N_AVG = 1024, 613  # prime, so every batch of more than one segment cuts it unevenly
 
 
 @pytest.fixture(scope="module")
@@ -194,22 +195,21 @@ def test_welch_bits_do_not_depend_on_cpu_count(monkeypatch, cpus, parity_pair, d
         assert got == welch_bits(pair)
 
 
-def whole_chunk_spectra(pair, seg):
-    """Hann Welch spectra summed the plain way: each chunk of SEGMENT_CHUNK
-    segments in one FFT call, its sum added to the running total."""
+def segment_by_segment_spectra(pair, seg):
+    """Hann Welch spectra summed the plain way: one segment at a time, each
+    segment's ``re^2 + im^2`` and ``conj(X1) * X2`` added to running sums."""
     win = hann_window(seg)
     n_avg = segment_count(pair.n_samples, seg, 0.5)
-    views = [sliding_window_view(ch, seg)[:: seg // 2][:n_avg] for ch in (pair.ch1, pair.ch2)]
     power = [np.zeros(seg // 2 + 1), np.zeros(seg // 2 + 1)]
     cross = np.zeros(seg // 2 + 1, dtype=complex)
-    for start in range(0, n_avg, SEGMENT_CHUNK):
+    for start in range(0, n_avg * seg // 2, seg // 2):
         spectra = []
-        for view, acc in zip(views, power):
-            chunk = view[start : start + SEGMENT_CHUNK]
-            spec = np.fft.rfft((chunk - chunk.mean(axis=-1, keepdims=True)) * win)
-            acc += (spec.real**2 + spec.imag**2).sum(axis=0)
+        for ch, acc in zip((pair.ch1, pair.ch2), power):
+            segment = ch[start : start + seg]
+            spec = np.fft.rfft((segment - segment.mean()) * win)
+            acc += spec.real**2 + spec.imag**2
             spectra.append(spec)
-        cross += (spectra[0].conj() * spectra[1]).sum(axis=0)
+        cross += spectra[0].conj() * spectra[1]
     scale = np.full(seg // 2 + 1, 2.0 / (pair.sample_rate * float(np.dot(win, win)) * n_avg))
     scale[0] /= 2.0
     scale[-1] /= 2.0
@@ -218,10 +218,9 @@ def whole_chunk_spectra(pair, seg):
 
 @pytest.mark.parametrize("rows", [1, 13, 32, 100])
 def test_welch_bits_do_not_depend_on_fft_batch(monkeypatch, cpus, parity_pair, rows):
-    # Batches of fewer than 32 rows cut chunks into pieces, and the row sums
-    # carry across the cuts; a batch of more stops at the end of its chunk.
+    # Every batch size adds the segments to the sums in the same order.
     monkeypatch.setattr(spectral, "FFT_BATCH_SAMPLES", rows * SEG)
-    assert welch_bits(parity_pair)[:3] == whole_chunk_spectra(parity_pair, SEG)
+    assert welch_bits(parity_pair)[:3] == segment_by_segment_spectra(parity_pair, SEG)
 
 
 def cut(series: list[np.ndarray], sizes: list[int]) -> list[tuple]:
@@ -237,7 +236,7 @@ def cut(series: list[np.ndarray], sizes: list[int]) -> list[tuple]:
 @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75], ids=lambda overlap: f"{overlap}-hann")
 @pytest.mark.parametrize("detrend", ["constant", False])
 def test_streamed_welch_is_the_one_shot_welch(cpus, parity_pair, overlap, detrend):
-    # Blocks that split segments and chunks anywhere, blocks shorter than a
+    # Blocks that split segments and batches anywhere, blocks shorter than a
     # segment, and empty and one-sample blocks between them, all give the
     # one-shot bits.
     pair = parity_pair if detrend else zero_mean_pair(parity_pair, overlap)
@@ -288,6 +287,10 @@ def test_streamed_welch_rejects_too_few_samples():
         welch_blocks(blocks, FS, 1024)
     with pytest.raises(DomainError, match="length 0"):
         welch_blocks([], FS, 1024)
+    # Refused before anything of segment length is made: a 2^40-sample
+    # segment's window, work arrays or sums would take TiBs.
+    with pytest.raises(DomainError, match="length 100 is shorter than one segment"):
+        welch_blocks([(np.zeros(100), np.zeros(100))], 1.0, 2**40)
 
 
 # ------------------------------------------------------------------ PSD level
