@@ -8,8 +8,10 @@ and parsing, and returns results in item order, so a caller that combines
 them in that order gets the same bits on any CPU count.  The workers
 inherit the function they run when they fork, so it may hold what cannot be
 pickled, such as memory shared with them (the CSV writer's ring).
-`thread_count` sizes the thread pool of synthesis, for numpy work that
-releases the GIL.  Pool modules are imported only when a pool is started.
+`ahead` advances an iterator one item ahead of its caller on a single
+thread, for numpy work that releases the GIL, such as synthesis's block
+loop; `thread_count` decides whether a run is worth that thread.  Pool
+modules are imported only when a pool is started.
 numpy's BLAS, OpenBLAS, keeps a pool of its own, one busy-waiting worker
 per CPU started when numpy is loaded; no holonoise result goes through
 BLAS, so ``holonoise/__init__.py`` pins it to the calling thread before
@@ -106,6 +108,24 @@ def _call(item):
     return _func(item)
 
 
-def thread_count(items: int, work: int) -> int:
-    """Threads to run ``items`` tasks of ``work`` array elements in all on."""
-    return 1 if work < MIN_THREAD_WORK else max(1, min(cpu_count(), items))
+def thread_count(work: int) -> int:
+    """Threads to run ``work`` array elements on, the caller's included: two
+    where there is a second CPU and work enough to keep it busy, else one."""
+    return 2 if work >= MIN_THREAD_WORK and cpu_count() > 1 else 1
+
+
+def ahead(items: Iterator) -> Iterator:
+    """``items`` in order, each drawn on one thread while the caller uses the one before.
+
+    The thread starts with the first item and ends when the items run out or
+    this iterator is closed; an exception raised drawing an item is raised
+    to the caller in its place.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    done = object()
+    with ThreadPoolExecutor(1) as pool:
+        drawing = pool.submit(next, items, done)
+        while (item := drawing.result()) is not done:
+            drawing = pool.submit(next, items, done)
+            yield item

@@ -61,9 +61,10 @@ class SlitSetup:
             object.__setattr__(self, "wavelength", CONSTANTS.l_P)
         if not math.isfinite(self.wavelength) or self.wavelength <= 0.0:
             raise DomainError(f"wavelength must be positive, got {self.wavelength!r}")
-        if not 64 <= self.n_angles <= MAX_ANGLES:
+        if (isinstance(self.n_angles, bool) or not isinstance(self.n_angles, int)
+                or not 64 <= self.n_angles <= MAX_ANGLES):
             raise DomainError(
-                f"n_angles must lie in [64, {MAX_ANGLES}], got {self.n_angles!r}"
+                f"n_angles must be an integer in [64, {MAX_ANGLES}], got {self.n_angles!r}"
             )
         blur = transverse_uncertainty(self.screen_distance)
         if blur == 0.0:

@@ -35,23 +35,25 @@ All randomness is drawn from counter-based Philox generators keyed by
 ``SeedSequence(seed, spawn_key=(stream_id,))``: the common component's
 r-pieces (stream 0) and unit-interval rests (stream 3), and the two shot
 floors (streams 1 and 2) are mutually independent and each is reproducible
-bit for bit from ``(seed, stream_id)`` alone.  Each block's common
-component and two shot floors are therefore made concurrently, on as many
-threads as the CPUs the process may use allow, without changing a bit;
-whether a run starts threads at all is decided from its whole work, every
-stream's n samples (`_workers.thread_count`), never from the block size.
+bit for bit from ``(seed, stream_id)`` alone.  The blocks are drawn by
+one serial loop.  Where the run is worth it, that loop runs on one thread
+more than the caller's, which draws the next block while the caller adds
+up and uses this one (`_workers.ahead`).  Whether a run starts that thread
+is decided from its whole work, every stream's n samples
+(`_workers.thread_count`), never from the block size, and no bit depends
+on it.
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._workers import thread_count
+from ._workers import ahead, thread_count
 from .errors import DomainError
 from .model import HolographicModel
 from .spectral import check_segment_length, segment_step
@@ -182,16 +184,6 @@ def _check_sampling(model: HolographicModel, sample_rate: float) -> None:
         )
 
 
-def _check_common(model: HolographicModel, sample_rate: float, n: int) -> None:
-    _check_sampling(model, sample_rate)
-    support = int(math.ceil(sample_rate * model.tau_c))
-    if n < 2 * support:
-        raise DomainError(
-            f"n = {n} too short: need at least twice the correlation support "
-            f"({2 * support} samples)"
-        )
-
-
 class _MovingSum:
     """The triangular-autocovariance series of one seed, a block at a time.
 
@@ -203,10 +195,20 @@ class _MovingSum:
     look-ahead the next block's differences need: the last q draws of the
     pieces and the cumulative sums up to them.  Every cumulative sum and
     difference is the one a single pass over all the draws would make, so
-    the bits do not depend on the block size.
+    the bits do not depend on the block size.  A series of ``n`` samples is
+    refused unless sample_rate * tau_c >= 4 and n is at least twice the
+    correlation support.
     """
 
-    def __init__(self, model: HolographicModel, sample_rate: float, seed: int, block: int):
+    def __init__(self, model: HolographicModel, sample_rate: float, n: int, seed: int):
+        _check_sampling(model, sample_rate)
+        support = int(math.ceil(sample_rate * model.tau_c))
+        if n < 2 * support:
+            raise DomainError(
+                f"n = {n} too short: need at least twice the correlation support "
+                f"({2 * support} samples)"
+            )
+        block = min(n, BLOCK_SAMPLES)
         q, r = window_split(model, sample_rate)
         unit = model.sigma2 / (q + r)
         self.q = q
@@ -265,12 +267,10 @@ def synthesize_common(
         triangle exactly (the moving sum is not an approximation).  It is
         the ``common`` of `synthesize_pair` at holo_scale = 1.
     """
-    _check_common(model, sample_rate, n)
-    block = min(n, BLOCK_SAMPLES)
-    moving = _MovingSum(model, sample_rate, seed, block)
+    moving = _MovingSum(model, sample_rate, n, seed)
     x = np.empty(n)
-    for j in range(0, n, block):
-        moving.next(x[j : j + block])
+    for j in range(0, n, BLOCK_SAMPLES):
+        moving.next(x[j : j + BLOCK_SAMPLES])
     return x
 
 
@@ -282,28 +282,17 @@ def _shot(stream: np.random.Generator, out: np.ndarray, scale: float) -> None:
 def synthesize_blocks(config: ExperimentConfig) -> Iterator[TimeSeriesPair]:
     """The pair of `synthesize_pair` as consecutive blocks of ``BLOCK_SAMPLES``.
 
-    The configuration is checked before this returns.  For each block the
-    common component (its two streams and the moving sum) and the two shot
-    floors are made concurrently on a pool of `_workers.thread_count`
-    threads, started with the first block and ended when the blocks run out
-    or the iterator is closed, and the next block is drawn while the caller
-    uses this one; the channel sums follow in the calling thread.  Each
-    block is a `TimeSeriesPair`, with its finite check; the last may be
-    shorter.
+    The configuration is checked before this returns.  Each block draws the
+    common component, then the two shot floors; the calling thread adds the
+    common component to each floor and makes the block a `TimeSeriesPair`,
+    with its finite check.  The last block may be shorter.  Where
+    `_workers.thread_count` grants the run a second thread, the draws are
+    made on it, one block ahead of the caller; it starts with the first
+    block and ends when the blocks run out or the iterator is closed.
     """
-    return (TimeSeriesPair(config.sample_rate, *block) for block in _blocks(config, None))
-
-
-def _blocks(config: ExperimentConfig, out) -> Iterator[list[np.ndarray]]:
-    """The (ch1, ch2, common) blocks of `synthesize_blocks`, written into new
-    arrays or, when ``out`` holds three arrays of n_samples, into views of them."""
     n, fs, seed = config.n_samples, config.sample_rate, config.seed
-    block = min(n, BLOCK_SAMPLES)
-    moving = None
-    if config.holo_scale > 0.0:
-        model = config.model()
-        _check_common(model, fs, n)
-        moving = _MovingSum(model, fs, seed, block)
+    block = BLOCK_SAMPLES
+    moving = _MovingSum(config.model(), fs, n, seed) if config.holo_scale > 0.0 else None
     shots = []
     if config.shot_asd > 0.0:
         shots = [generator(seed, STREAM_SHOT1), generator(seed, STREAM_SHOT2)]
@@ -311,53 +300,31 @@ def _blocks(config: ExperimentConfig, out) -> Iterator[list[np.ndarray]]:
     amplitude = math.sqrt(config.holo_scale)
     streams = len(shots) + (2 if moving is not None else 0)
 
-    def start(pool, j: int):
-        """Start drawing the block at sample j on the pool, if there is one; a call
-        that returns its arrays once drawn, and draws them itself without a pool."""
-        m = min(block, n - j)
-        # Arrays are allocated here, not in the threads, whose malloc
-        # arenas would keep the memory.
-        arrays = [np.empty(m) for _ in range(3)] if out is None else [a[j : j + m] for a in out]
-        ch1, ch2, common = arrays
-        draws = [functools.partial(_shot, stream, ch, scale)
-                 for stream, ch in zip(shots, (ch1, ch2))]
-        if moving is None:
-            common.fill(0.0)
-        else:
-            draws.insert(0, functools.partial(moving.next, common, amplitude))
-        if pool is None:
-            return lambda: ([draw() for draw in draws], arrays)[1]
-        futures = [pool.submit(draw) for draw in draws]
-        return lambda: ([future.result() for future in futures], arrays)[1]
+    def draw() -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+        for j in range(0, n, block):
+            m = min(block, n - j)
+            # Allocated on the thread that draws them: README-default simulate
+            # peaked at 43.7 MB at 2^22 and at 2^24 samples alike, on 2 CPUs.
+            common = np.empty(m)
+            if moving is None:
+                common.fill(0.0)
+            else:
+                moving.next(common, amplitude)
+            floors = [np.empty(m) for _ in shots]
+            for stream, floor in zip(shots, floors):
+                _shot(stream, floor, scale)
+            yield common, floors
 
-    def generate():
-        # A task for each shot floor, and one for the common component; the
-        # work counted is the run's, so the block size does not decide it.
-        threads = thread_count(len(shots) + (moving is not None), streams * n)
-        pool = None
-        try:
-            if threads > 1:
-                from concurrent.futures import ThreadPoolExecutor
+    def pairs(draws: Iterator) -> Iterator[TimeSeriesPair]:
+        with contextlib.closing(draws):
+            for common, floors in draws:
+                for ch in floors:
+                    # shot_i + common, which rounds exactly as common + shot_i.
+                    ch += common
+                ch1, ch2 = floors or (common.copy(), common.copy())
+                yield TimeSeriesPair(fs, ch1, ch2, common)
 
-                pool = ThreadPoolExecutor(threads)
-            pending = start(pool, 0)
-            for j in range(0, n, block):
-                ch1, ch2, common = pending()
-                # On the pool, the next block is drawn while the caller uses this one.
-                if j + block < n:
-                    pending = start(pool, j + block)
-                for ch in (ch1, ch2):
-                    if shots:
-                        # shot_i + common, which rounds exactly as common + shot_i.
-                        ch += common
-                    else:
-                        ch[:] = common
-                yield ch1, ch2, common
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-    return generate()
+    return pairs(ahead(draw()) if thread_count(streams * n) > 1 else draw())
 
 
 def synthesize_pair(config: ExperimentConfig) -> TimeSeriesPair:
@@ -367,10 +334,13 @@ def synthesize_pair(config: ExperimentConfig) -> TimeSeriesPair:
     the channels (scaled by sqrt(holo_scale)); with holo_scale = 0 the
     generation is skipped entirely and ``common`` is all zeros, and with
     shot_asd = 0 both channels equal ``common``.  It is the blocks of
-    `synthesize_blocks`, each written in place, so the bits are the same on
-    any CPU count.
+    `synthesize_blocks` copied end to end, so the bits are the same on any
+    CPU count.
     """
     out = [np.empty(config.n_samples) for _ in range(3)]
-    for _ in _blocks(config, out):
-        pass
+    j = 0
+    for pair in synthesize_blocks(config):
+        for whole, part in zip(out, (pair.ch1, pair.ch2, pair.common)):
+            whole[j : j + pair.n_samples] = part
+        j += pair.n_samples
     return TimeSeriesPair(config.sample_rate, *out)

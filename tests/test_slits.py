@@ -73,6 +73,10 @@ def test_setup_validation():
         SlitSetup(separation=0.0, slit_width=1e-18, screen_distance=1.0,
                   n_angles=MAX_ANGLES + 1)
     SlitSetup(separation=0.0, slit_width=1e-18, screen_distance=1.0, n_angles=MAX_ANGLES)
+    for n_angles in (100.5, 4096.0, True):
+        with pytest.raises(DomainError, match="n_angles must be an integer"):
+            SlitSetup(separation=0.0, slit_width=1e-3, screen_distance=1.0, wavelength=1e-3,
+                      n_angles=n_angles)
     with pytest.raises(DomainError):
         SlitSetup(
             separation=0.0, slit_width=1e-18, screen_distance=1.0, angle_span=-0.1

@@ -349,10 +349,10 @@ def test_pair_determinism():
 
 @pytest.mark.parametrize("holo_scale", [0.0, 1.0])
 def test_pair_bits_do_not_depend_on_cpu_count(monkeypatch, cpus, holo_scale):
-    # 2^18 samples put the two or three streams above the thread floor, so
-    # with two CPUs they really are drawn on two threads.
+    # 2^18 samples put the two or four streams above the thread floor, so
+    # with two CPUs the blocks really are drawn on a second thread.
     cfg = ExperimentConfig(n_samples=2**18, seed=5, holo_scale=holo_scale)
-    assert _workers.thread_count(3, 2 * cfg.n_samples) == cpus
+    assert _workers.thread_count(2 * cfg.n_samples) == cpus
     threads_before = threading.active_count()
     pair = synthesize_pair(cfg)
     assert threading.active_count() == threads_before
@@ -373,6 +373,17 @@ def test_closing_the_blocks_early_ends_their_threads(monkeypatch):
     blocks = synthesis.synthesize_blocks(ExperimentConfig(n_samples=2**20, seed=3))
     next(blocks)
     assert threading.active_count() > threads_before
+    blocks.close()
+    assert threading.active_count() == threads_before
+
+
+def test_blocks_start_one_thread_whatever_the_cpu_count(monkeypatch):
+    # Eight CPUs still get one thread, drawing one block ahead of the caller.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    threads_before = threading.active_count()
+    blocks = synthesis.synthesize_blocks(ExperimentConfig(n_samples=2**20, seed=3))
+    next(blocks)
+    assert threading.active_count() == threads_before + 1
     blocks.close()
     assert threading.active_count() == threads_before
 
