@@ -7,11 +7,12 @@ the median of ``--repeats`` runs from this process:
 
 - ``format_block_s``: ``_format.format_rows``, the numpy ``%.17g`` row
   kernel that formats each CSV block;
-- ``per_value_format_s``: the same rows through Python's ``%`` one value at
-  a time, the reference the kernel must equal byte for byte;
-- ``write_csv_s``: ``files._write_csv`` of the block to a file, the path
-  ``simulate --dump-timeseries`` runs, on the CPUs this process may use
-  (``cpus``), in blocks of ``files.CHUNK_ROWS`` rows;
+- ``per_value_format_s``: the same rows through one Python ``%`` of a
+  ``%.17g`` template over the block's values, the reference the kernel
+  must equal byte for byte;
+- ``write_csv_s``: ``files._write_csv`` of the block's columns to a file,
+  the path ``simulate --dump-timeseries`` runs, on the CPUs this process
+  may use (``cpus``), in blocks of ``files.CHUNK_ROWS`` rows;
 - ``parse_range_s``: ``files._parse_range`` on the formatted bytes, which must
   give back the block bit for bit.
 
@@ -70,7 +71,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "timeseries.csv"
         header = files._csv_header({}, files.TIMESERIES.columns)
-        write_s, _ = median_time(lambda: files._write_csv(path, header, block), args.repeats)
+        write_s, _ = median_time(lambda: files._write_csv(path, header, *block.T), args.repeats)
         if path.read_bytes() != header + expected:
             sys.exit("the written file differs from per-value formatting")
 

@@ -54,15 +54,15 @@ class ProcessMap:
     worker are in flight, so each has one queued behind the one it works
     on, and a result is handed back as soon as it and those before it are
     ready: the memory held for results does not grow with the number of
-    items.  ``in_flight``, 2 * workers + 1, bounds the items put and not yet
-    used, counting the results a `put` returns as in use until the next
-    `put`.
+    items.  ``in_flight``, 2 * workers + 1 (1 in the calling process),
+    bounds the items put and not yet used, counting the results a `put`
+    returns as in use until the next `put`.
     """
 
     def __init__(self, func, useful: int):
         self.func = func
         self.workers = min(cpu_count(), useful)
-        self.in_flight = 2 * self.workers + 1
+        self.in_flight = 2 * self.workers + 1 if self.workers > 1 else 1
         self.pending: deque = deque()
         self.pool = None
 

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._format import format_rows, row_bytes
+from ._format import format_rows
 from .constants import CONSTANTS
-from .detection import null_significance, predicted_snr
+from .detection import check_averages, null_significance, predicted_snr
 from .errors import DomainError
 from .files import (TIMESERIES, _csv_header, _dumped, _Output, _read_spectra, _read_timeseries,
                     _report_dict, _vouched, _write_csv, _write_json, _write_manifest,
@@ -36,7 +36,7 @@ from .model import (
     transverse_uncertainty,
 )
 from .slits import SlitSetup, fraunhofer_pattern, information_blurred_pattern, separation_sweep
-from .spectral import welch_blocks
+from .spectral import segment_count, welch_blocks
 from .synthesis import synthesize_blocks
 
 ENV_OUTPUT_DIR = "HOLONOISE_OUTPUT_DIR"
@@ -130,8 +130,7 @@ def cmd_slits(args) -> int:
     if args.sweep:
         seps, metrics = separation_sweep(setup)
         bound = np.full_like(seps, transverse_uncertainty(setup.screen_distance))
-        rows = np.column_stack([seps, metrics, bound])
-        columns = ["separation_m", "distance_metric", "bound_m"]
+        columns = {"separation_m": seps, "distance_metric": metrics, "bound_m": bound}
         meta = {
             "screen_distance_m": setup.screen_distance,
             "slit_width_m": setup.slit_width,
@@ -139,8 +138,7 @@ def cmd_slits(args) -> int:
         }
     else:
         pattern = (information_blurred_pattern if args.blurred else fraunhofer_pattern)(setup)
-        rows = np.column_stack([setup.angles(), pattern])
-        columns = ["angle_rad", "intensity"]
+        columns = {"angle_rad": setup.angles(), "intensity": pattern}
         meta = {
             "separation_m": setup.separation,
             "slit_width_m": setup.slit_width,
@@ -148,7 +146,8 @@ def cmd_slits(args) -> int:
             "wavelength_m": setup.wavelength,
             "blurred": str(bool(args.blurred)).lower(),
         }
-    _write_csv(Path(args.output) if args.output else None, _csv_header(meta, columns), rows)
+    _write_csv(Path(args.output) if args.output else None, _csv_header(meta, columns),
+               *columns.values())
     return 0
 
 
@@ -158,9 +157,14 @@ def cmd_simulate(args) -> int:
     model = config.model()
     band = _parse_band(args.band) if args.band else (0.0, 1.0 / model.tau_c)
     outputs = {}
-    # Checked before any file is opened; no block is drawn yet.
+    # Checked before any file is opened; no block is drawn yet.  So are the
+    # averages and the band, which the prediction takes on Welch's grid.
     blocks = synthesize_blocks(config)
-    dump = (_Output(outdir / "timeseries.csv", config.n_samples, row_bytes(len(TIMESERIES.columns)))
+    n_avg = segment_count(config.n_samples, config.segment_length, config.overlap)
+    check_averages(n_avg)
+    prediction = predicted_snr(model, config.shot_asd, config.sample_rate, config.segment_length,
+                               n_avg, band, config.holo_scale)
+    dump = (_Output(outdir / "timeseries.csv", config.n_samples, len(TIMESERIES.columns))
             if args.dump_timeseries else None)
     # Entered before the first block is drawn, so the CSV workers are forked
     # while no synthesis thread is alive.
@@ -169,21 +173,9 @@ def cmd_simulate(args) -> int:
             dump.write(TIMESERIES.header(config.sample_rate, config.n_samples,
                                          config.segment_length, config.overlap))
             blocks = _dumped(blocks, dump)
-        estimate = welch_blocks(
-            ((block.ch1, block.ch2) for block in blocks),
-            config.sample_rate, config.segment_length, config.overlap,
-        )
+        estimate = welch_blocks(blocks, config.segment_length, config.overlap)
     if dump is not None:
         outputs["timeseries.csv"] = dump.hexdigest()
-    prediction = predicted_snr(
-        model,
-        config.shot_asd,
-        config.sample_rate,
-        config.segment_length,
-        estimate.n_avg,
-        band,
-        config.holo_scale,
-    )
     report = null_significance(estimate, band, predicted=prediction)
     outputs["spectra.csv"] = _write_spectra(outdir / "spectra.csv", estimate, config.n_samples)
     outputs["report.json"] = _write_json(outdir / "report.json", _report_dict(report))

@@ -71,6 +71,14 @@ def band_indices(freqs: np.ndarray, band: tuple[float, float]) -> np.ndarray:
     return idx
 
 
+def check_averages(n_avg: int) -> None:
+    """Refuse fewer than MIN_AVERAGES segments, too few for Gaussian statistics."""
+    if n_avg < MIN_AVERAGES:
+        raise DomainError(
+            f"n_avg = {n_avg} < {MIN_AVERAGES}: too few averages for Gaussian statistics"
+        )
+
+
 def integration_time(n_avg: int, segment_length: int, overlap: float, sample_rate: float) -> float:
     """Wall-clock span of data consumed by n_avg overlapped segments, s."""
     return (segment_length + (n_avg - 1) * segment_step(segment_length, overlap)) / sample_rate
@@ -187,11 +195,7 @@ def null_significance(
     one-sided p-value underflows to 0.0 for overwhelming detections.
     ``predicted`` optionally records a model SNR in the report.
     """
-    if estimate.n_avg < MIN_AVERAGES:
-        raise DomainError(
-            f"n_avg = {estimate.n_avg} < {MIN_AVERAGES}: too few averages for "
-            "Gaussian statistics"
-        )
+    check_averages(estimate.n_avg)
     idx = band_indices(estimate.freqs, band)
     stat = float(np.mean(estimate.csd[idx].real))
     if not (np.all(estimate.psd1[idx] >= 0.0) and np.all(estimate.psd2[idx] >= 0.0)):

@@ -6,11 +6,12 @@ disk is bit-identical to the in-memory one and repeated runs of the same
 configuration produce byte-identical files.  Rows are the bytes that
 ``%.17g`` gives each value, written by the numpy kernel
 `holonoise._format.format_rows`.  CSVs are streamed in blocks of
-``CHUNK_ROWS`` rows and hashed as they are written; reading cuts the data
-into byte ranges of about ``RANGE_BYTES`` at line boundaries.  Blocks and
-ranges are formatted or parsed across the CPUs the process may use, and
-the bytes do not depend on how many there are; a formatted block comes
-back from its worker through a ring of shared memory, not a pipe.
+``CHUNK_ROWS`` rows, stacked from the columns a caller hands `_Output`,
+and hashed as they are written; reading cuts the data into byte ranges of
+about ``RANGE_BYTES`` at line boundaries.  Blocks and ranges are formatted
+or parsed across the CPUs the process may use, and the bytes do not depend
+on how many there are; every formatted block goes through a ring of shared
+memory that `_Output` sizes from its column count, not through a pipe.
 
 The files holonoise reads back are of the kinds in `KINDS`: a name, header
 fields with their types, and columns, which `_Input` checks a file against.
@@ -44,13 +45,7 @@ from ._workers import ProcessMap
 from .constants import CONSTANTS
 from .errors import DomainError
 from .spectral import SpectralEstimate, coherence_of, segment_count, welch_blocks
-from .synthesis import ExperimentConfig, TimeSeriesPair
-
-PRNG_IDENTIFIER = (
-    "philox4x64 counter-based; substreams via "
-    "SeedSequence(seed, spawn_key=(stream_id,)); "
-    "common pieces=0, increments=3 (Brownian-difference moving sum) shot1=1 shot2=2"
-)
+from .synthesis import PRNG_IDENTIFIER, ExperimentConfig, TimeSeriesPair
 
 #: Rows formatted per CSV block, the unit of work handed to one CPU.  It
 #: also sizes the slots of `_Output`'s ring: a 2^20-sample dump on two CPUs
@@ -123,30 +118,30 @@ SPECTRA, TIMESERIES = KINDS = (
 class _Output:
     """An output file, or stdout when ``path`` is None, hashed as it is written.
 
-    CSV rows are formatted CHUNK_ROWS at a time, on forked workers, one for
-    every WORKER_ROWS of ``rows``, the number of rows to be written, and at
-    most one per CPU (see `ProcessMap`); where that is fewer than two, in
-    the calling process.  Workers hand a block's bytes back through
-    a ring of shared memory, made before they fork, with one slot of
-    CHUNK_ROWS lines of ``width`` bytes, the widest line to be written, per
-    block in flight: a worker copies its block into the slot it is given and
-    returns only the length, and the block is written and hashed from the
-    slot, in put order.  A block longer than its slot is refused, never cut
-    short.  The workers are forked on entering the ``with`` block, before
-    the caller starts any thread.
+    CSV rows of ``columns`` values are formatted CHUNK_ROWS at a time, on
+    forked workers, one for every WORKER_ROWS of ``rows``, the number of
+    rows to be written, and at most one per CPU (see `ProcessMap`); where
+    that is fewer than two, in the calling process.  Every block's bytes
+    go through a ring of shared memory, made before the workers fork, with
+    one slot of CHUNK_ROWS lines of ``row_bytes(columns)`` bytes per block
+    in flight: the block is formatted into the slot it is given, only the
+    length comes back, and the block is written and hashed from the slot,
+    in put order.  An output without columns, such as JSON, has no ring.
+    The workers are forked on entering the ``with`` block, before the
+    caller starts any thread.
     """
 
-    def __init__(self, path: Path | None, rows: int = 0, width: int = 0):
+    def __init__(self, path: Path | None, rows: int = 0, columns: int = 0):
         self.path = path
         self.sha256 = hashlib.sha256()
+        self.columns = columns
         self.formatter = ProcessMap(self.format_block, rows // WORKER_ROWS)
-        self.slot_bytes = CHUNK_ROWS * width
-        self.ring = None
+        self.slot_bytes = CHUNK_ROWS * row_bytes(columns)
         self.puts = 0
 
     def __enter__(self) -> "_Output":
         with contextlib.ExitStack() as stack:
-            if self.formatter.workers > 1:
+            if self.columns:
                 self.ring = mmap.mmap(-1, self.formatter.in_flight * self.slot_bytes)
                 stack.callback(self.ring.close)
             stack.enter_context(self.formatter)
@@ -169,13 +164,10 @@ class _Output:
         self.sha256.update(data)
 
     def format_block(self, task: tuple[int, np.ndarray]) -> tuple[int, int]:
-        """Run by a worker, on the copy of this output it forked with: format
-        a block into the ring slot at ``start``; the start and its length."""
+        """Format a block into the ring slot at ``start``, on a worker's copy of
+        this output or in the calling process; the start and its length."""
         start, block = task
         data = format_rows(block)
-        if len(data) > self.slot_bytes:
-            raise OverflowError(f"a CSV block of {len(data)} bytes overflows "
-                                f"its {self.slot_bytes}-byte ring slot")
         self.ring[start : start + len(data)] = data
         return start, len(data)
 
@@ -184,13 +176,21 @@ class _Output:
         with memoryview(self.ring)[start : start + length] as data:
             self.write(data)
 
-    def rows(self, rows: np.ndarray) -> None:
-        """CSV lines of a 2-D float array, each value at 17 digits."""
-        for i in range(0, len(rows), CHUNK_ROWS):
-            block = rows[i : i + CHUNK_ROWS]
-            if self.ring is None:
-                self.write(format_rows(block))
-                continue
+    def rows(self, *columns: np.ndarray) -> None:
+        """CSV lines of equal-length 1-D float columns, each value at 17 digits.
+
+        A line of k values takes at most ``row_bytes(k)`` bytes, so a block
+        outgrows its slot only if it has more columns than this output was
+        made for: a block of any other count is refused before it is
+        formatted.
+        """
+        for i in range(0, len(columns[0]), CHUNK_ROWS):
+            # Stacked a block at a time, before it is put, so a block waiting
+            # for a worker holds only its own rows.
+            block = np.column_stack([column[i : i + CHUNK_ROWS] for column in columns])
+            if block.shape[1] != self.columns:
+                raise ValueError(f"a CSV block of {block.shape[1]} columns, "
+                                 f"for an output of {self.columns}")
             # The slot of the block put in_flight puts ago, which is written.
             start = self.puts % self.formatter.in_flight * self.slot_bytes
             self.puts += 1
@@ -208,11 +208,11 @@ def _write_json(path: Path | None, value) -> str:
     return out.hexdigest()
 
 
-def _write_csv(path: Path | None, header: bytes, rows: np.ndarray) -> str:
-    """Write ``header``, then ``rows`` as CSV lines, as `_write_json` writes."""
-    with _Output(path, len(rows), row_bytes(rows.shape[1])) as out:
+def _write_csv(path: Path | None, header: bytes, *columns: np.ndarray) -> str:
+    """Write ``header``, then ``columns`` as CSV lines, as `_write_json` writes."""
+    with _Output(path, len(columns[0]), len(columns)) as out:
         out.write(header)
-        out.rows(rows)
+        out.rows(*columns)
     return out.hexdigest()
 
 
@@ -414,10 +414,8 @@ def _write_spectra(path: Path | None, est: SpectralEstimate, n_samples: int) -> 
     """Spectra of an ``n_samples`` series; the header fixes its ``n_avg``."""
     header = SPECTRA.header(est.sample_rate, n_samples, est.segment_length, est.overlap, "hann",
                             est.n_avg)
-    rows = np.column_stack(
-        [est.freqs, est.psd1, est.psd2, est.csd.real, est.csd.imag, est.coherence]
-    )
-    return _write_csv(path, header, rows)
+    return _write_csv(path, header, est.freqs, est.psd1, est.psd2, est.csd.real, est.csd.imag,
+                      est.coherence)
 
 
 def _read_spectra(path: Path) -> SpectralEstimate:
@@ -501,20 +499,12 @@ def _read_timeseries(path: Path) -> tuple[SpectralEstimate, int]:
             raise DomainError(f"timeseries file {path} is shorter than one segment "
                               f"({segment_length}): {needs}")
 
-        def blocks():
-            for part in series.parts(n_samples, needs):
-                pair = TimeSeriesPair(sample_rate, *part.T)
-                yield pair.ch1, pair.ch2
-
-        return welch_blocks(blocks(), sample_rate, segment_length, overlap), n_samples
+        blocks = (TimeSeriesPair(sample_rate, *part.T) for part in series.parts(n_samples, needs))
+        return welch_blocks(blocks, segment_length, overlap), n_samples
 
 
 def _dumped(blocks: Iterable[TimeSeriesPair], out: _Output) -> Iterator[TimeSeriesPair]:
     """``blocks`` passed on as they come, each also written to ``out`` as time-series rows."""
     for block in blocks:
-        # Stacked CHUNK_ROWS rows at a time, so a row block waiting for a
-        # CSV worker holds only its own rows.
-        for i in range(0, block.n_samples, CHUNK_ROWS):
-            part = slice(i, i + CHUNK_ROWS)
-            out.rows(np.column_stack([block.ch1[part], block.ch2[part], block.common[part]]))
+        out.rows(block.ch1, block.ch2, block.common)
         yield block

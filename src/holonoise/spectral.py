@@ -5,14 +5,15 @@ cut into strided segment views, whose means are removed, which are windowed
 and go through one ``rfft`` per channel, about ``FFT_BATCH_SAMPLES``
 samples per call, and whose ``|X1|^2``, ``|X2|^2`` and ``conj(X1) X2`` are
 added to one running sum in segment order.  The pass consumes the series
-as consecutive blocks (`welch_blocks`), in the calling thread: segments
-are counted from the first sample, and the samples of the segment a block
-cuts are carried into the next, so memory is fixed by the block, not the
-series, and the bits depend on neither the cut into blocks nor the batch
-size.  `welch_csd` is the one-block case.  The sums carry
-scipy.signal's one-sided density scaling (Welch 1967; Heinzel, Ruediger &
-Schilling 2002) with ``detrend="constant"``: a flat input returns its ASD^2
-level, and DC and Nyquist are not doubled.  The window is always the
+as consecutive `TimeSeriesPair` blocks (`welch_blocks`), whose sample rate
+it takes, in the calling thread: segments are counted from the first
+sample, and the samples of the segment a block cuts are carried into the
+next, so memory is fixed by the block, not the series, and the bits
+depend on neither the cut into blocks nor the batch size.  `welch_csd` is
+the one-block case.  The sums carry scipy.signal's one-sided density
+scaling (Welch 1967; Heinzel, Ruediger & Schilling 2002) with
+``detrend="constant"``: a flat input returns its ASD^2 level, and DC and
+Nyquist are not doubled.  The window is always the
 periodic Hann window (`hann_window`), 50% overlap is the default, and the
 explicit segment count ``n_avg`` tells downstream detection statistics
 exactly how much averaging went in.  `check_segment_length` is the one
@@ -101,8 +102,7 @@ def coherence_of(psd1: np.ndarray, psd2: np.ndarray, csd: np.ndarray) -> np.ndar
 
 
 def welch_blocks(
-    blocks: Iterable,
-    sample_rate: float,
+    blocks: Iterable[TimeSeriesPair],
     segment_length: int,
     overlap: float = 0.5,
 ) -> SpectralEstimate:
@@ -110,12 +110,11 @@ def welch_blocks(
 
     Parameters
     ----------
-    blocks : iterable of (ch1, ch2) array pairs
-        Consecutive pieces of the pair, the two arrays of a piece of equal
-        length; together they are the whole series, and any piece may be
-        any length.
-    sample_rate : float
-        Sampling rate in Hz.
+    blocks : iterable of TimeSeriesPair
+        Consecutive pieces of the pair, at one sample rate, which the
+        estimate takes from them; together they are the whole series, and
+        any piece may be any length.  A `TimeSeriesPair` has channels of
+        equal length and finite samples.
     segment_length : int
         Samples per segment, a power of two >= 64 (`check_segment_length`).
     overlap : float, optional
@@ -168,12 +167,8 @@ def welch_blocks(
                 terms[: k + 1].sum(axis=0, out=sums)
 
         for block in blocks:
-            channels = [np.ascontiguousarray(ch, dtype=float) for ch in block]
-            if len(channels[0]) != len(channels[1]):
-                raise DomainError(
-                    f"block at sample {n} has channels of {len(channels[0])} and "
-                    f"{len(channels[1])} samples; a pair needs equal lengths"
-                )
+            sample_rate = block.sample_rate
+            channels = [np.ascontiguousarray(ch, dtype=float) for ch in (block.ch1, block.ch2)]
             n += len(channels[0])
             # Segment ``done`` starts at the carry, so every whole segment is
             # cut from the carry joined to the block, and the samples after
@@ -233,5 +228,5 @@ def welch_csd(
     averaged spectra and clipped to [0, 1]; bins with zero PSD product get
     coherence 0.
     """
-    return welch_blocks([(pair.ch1, pair.ch2)], pair.sample_rate, segment_length, overlap)
+    return welch_blocks([pair], segment_length, overlap)
 

@@ -66,6 +66,14 @@ STREAM_SHOT1 = 1
 STREAM_SHOT2 = 2
 STREAM_INCREMENTS = 3
 
+#: How the streams are keyed, as the manifest records it.
+PRNG_IDENTIFIER = (
+    "philox4x64 counter-based; substreams via "
+    "SeedSequence(seed, spawn_key=(stream_id,)); "
+    f"common pieces={STREAM_COMMON}, increments={STREAM_INCREMENTS} "
+    f"(Brownian-difference moving sum) shot1={STREAM_SHOT1} shot2={STREAM_SHOT2}"
+)
+
 #: Samples per synthesized block, 512 kB an array.  At the default
 #: 8192-sample segments and 50% overlap that is 16 segment steps; memory
 #: held between blocks does not grow with n_samples.
@@ -100,9 +108,12 @@ class ExperimentConfig:
             raise DomainError(f"shot_asd must be >= 0, got {self.shot_asd!r}")
         if not math.isfinite(self.sample_rate) or self.sample_rate <= 0.0:
             raise DomainError(f"sample_rate must be positive, got {self.sample_rate!r}")
-        if not isinstance(self.n_samples, int) or self.n_samples < 1024:
+        # A bool is an int to isinstance, but neither a count nor a seed.
+        if (isinstance(self.n_samples, bool) or not isinstance(self.n_samples, int)
+                or self.n_samples < 1024):
             raise DomainError(f"n_samples must be an integer >= 1024, got {self.n_samples!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or not 0 <= self.seed < 2**64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not math.isfinite(self.holo_scale) or self.holo_scale < 0.0:
             raise DomainError(f"holo_scale must be >= 0, got {self.holo_scale!r}")

@@ -149,7 +149,7 @@ def test_predict_rejects_overflowing_arm_length():
 def test_csv_rows_match_per_value_formatting(tmp_path):
     rows = np.array([[-0.0, 1e300, 5e-324], [0.1, -2.5e-17, 123456789.125]])
     header = _csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c"])
-    digest = _write_csv(tmp_path / "rows.csv", header, rows)
+    digest = _write_csv(tmp_path / "rows.csv", header, *rows.T)
     text = (tmp_path / "rows.csv").read_text()
     assert digest == hashlib.sha256(text.encode()).hexdigest()
     body = [line for line in text.splitlines() if not line.startswith("#")]
@@ -179,7 +179,7 @@ def block_rows():
 def test_csv_blocks_match_per_value_formatting_on_any_cpu_count(tmp_path, block_rows, cpus):
     rows, expected = block_rows
     path = tmp_path / "blocks.csv"
-    digest = _write_csv(path, _csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c", "d"]), rows)
+    digest = _write_csv(path, _csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c", "d"]), *rows.T)
     data = path.read_bytes()
     assert data == expected
     assert digest == hashlib.sha256(data).hexdigest()
@@ -190,9 +190,9 @@ def test_prefixed_csv_blocks_wrap_the_ring(tmp_path, block_rows, cpus):
     # that needs a prefix now writes it: here the header, unaligned to a slot.
     rows, expected = block_rows
     path = tmp_path / "prefixed.csv"
-    with _Output(path, len(rows), row_bytes(4)) as out:
+    with _Output(path, len(rows), 4) as out:
         out.write(_csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c", "d"]))
-        out.rows(rows)
+        out.rows(*rows.T)
     if cpus > 1:  # more blocks than the 5 slots of two workers' ring
         assert out.puts == -(-len(rows) // CHUNK_ROWS) > out.formatter.in_flight
     data = path.read_bytes()
@@ -216,7 +216,7 @@ def test_ring_slots_are_not_reused_before_a_slow_writer_is_done(tmp_path, block_
 
     monkeypatch.setattr(_Output, "write_slot", slow)
     path = tmp_path / "blocks.csv"
-    _write_csv(path, _csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c", "d"]), rows)
+    _write_csv(path, _csv_header({"sample_rate_hz": 5e7}, ["a", "b", "c", "d"]), *rows.T)
     assert path.read_bytes() == expected
 
 
@@ -229,8 +229,8 @@ def test_output_failing_with_blocks_in_flight_stops_its_workers(tmp_path, block_
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(DomainError, match="stop here"):
-            with _Output(tmp_path / "rows.csv", len(rows), row_bytes(4)) as out:
-                out.rows(rows[: 4 * CHUNK_ROWS])
+            with _Output(tmp_path / "rows.csv", len(rows), 4) as out:
+                out.rows(*rows[: 4 * CHUNK_ROWS].T)
                 assert out.formatter.pending
                 workers = list(out.formatter.pool._pool)
                 raise DomainError("stop here")
@@ -244,20 +244,21 @@ def test_output_failing_with_blocks_in_flight_stops_its_workers(tmp_path, block_
 
 def test_output_refuses_a_block_longer_than_its_ring_slot(tmp_path, monkeypatch):
     # Every value takes all 25 bytes a value may, separator included, so the
-    # lines fill slots sized for 4 values exactly, and overflow slots one
-    # byte a line shorter.
+    # lines fill slots sized for 4 values exactly.  Only a block of more
+    # columns than the output was made for could overflow its slot, and a
+    # block of another column count is refused before it is formatted.
     rows = np.full((2 * WORKER_ROWS, 4), -1.2345678901234567e-123)
     line = b",".join([b"-1.2345678901234567e-123"] * 4) + b"\n"
     assert len(line) == row_bytes(4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     path = tmp_path / "rows.csv"
-    with _Output(path, len(rows), row_bytes(4)) as out:
-        out.rows(rows)
+    with _Output(path, len(rows), 4) as out:
+        out.rows(*rows.T)
     assert path.read_bytes() == line * len(rows)
-    slot = CHUNK_ROWS * (row_bytes(4) - 1)
-    with pytest.raises(OverflowError, match=f"overflows its {slot}-byte ring slot"):
-        with _Output(path, len(rows), row_bytes(4) - 1) as out:
-            out.rows(rows)
+    with pytest.raises(ValueError, match="^a CSV block of 5 columns, for an output of 4$"):
+        with _Output(path, len(rows), 4) as out:
+            out.rows(*rows.T, rows[:, 0])
+    assert out.puts == 0
     assert out.handle.closed and out.ring.closed
     assert path.read_bytes() == b""
 
@@ -286,11 +287,11 @@ def test_input_checks_the_header_fields_and_columns_of_its_kind(tmp_path, kind):
               for i, parse in enumerate(kind.fields.values())]
     path = tmp_path / f"{kind.name}.csv"
     columns = len(kind.columns)
-    _write_csv(path, kind.header(*values), np.ones((3, columns)))
+    _write_csv(path, kind.header(*values), *np.ones((columns, 3)))
     with _Input(path, kind) as csv:
         assert csv.header == values
         assert np.concatenate(list(csv.parts(3, "the test wrote 3"))).shape == (3, columns)
-    _write_csv(path, kind.header(*values), np.ones((3, columns + 1)))
+    _write_csv(path, kind.header(*values), *np.ones((columns + 1, 3)))
     with _Input(path, kind) as csv:
         message = f"{kind.name} file {path} must have {columns} columns, found {columns + 1}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -674,6 +675,25 @@ def test_simulate_too_short_for_the_window_writes_nothing(tmp_path, capsys):
     assert list(run.iterdir()) == []
 
 
+@pytest.mark.parametrize("config,band,message", [
+    ({"n_samples": 2**20}, ["--band", "1e9:2e9"], "selects no usable bins"),
+    ({"n_samples": 32768, "segment_length": 8192}, [],
+     "n_avg = 7 < 30: too few averages for Gaussian statistics"),
+], ids=["band", "averages"])
+def test_simulate_refuses_a_band_or_averages_before_writing(tmp_path, capsys, config, band,
+                                                            message):
+    # Both are decided by the config and the band alone, so they are refused
+    # before a block is drawn or the dump opened, not after the whole run.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output-dir", str(run),
+                 "--dump-timeseries", *band]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert list(run.iterdir()) == []
+
+
 def test_simulate_refuses_a_segment_length_welch_refuses_before_writing(tmp_path, capsys):
     # A 32-sample segment is a power of two, but below the Welch floor of 64:
     # the config is refused with the Welch message before any output exists.
@@ -987,7 +1007,7 @@ def test_analyze_without_segmenting_headers_is_refused(tmp_path):
     rows = rng.standard_normal((16384, 3))
     series = tmp_path / "timeseries.csv"
     _write_csv(series, _csv_header({"sample_rate_hz": 5e7, "n_samples": 16384},
-                                   ["ch1_m", "ch2_m", "common_m"]), rows)
+                                   ["ch1_m", "ch2_m", "common_m"]), *rows.T)
     proc = run_python("-m", "holonoise.cli", "analyze", "--timeseries", str(series))
     assert proc.returncode == 1
     assert proc.stdout == ""

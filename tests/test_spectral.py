@@ -110,14 +110,15 @@ def test_invalid_detrend_and_window():
     with pytest.raises(TypeError, match="window"):
         welch_csd(pair, 256, window="hann")
     with pytest.raises(TypeError, match="window"):
-        welch_blocks([(pair.ch1, pair.ch2)], FS, 256, window="hann")
+        welch_blocks([pair], 256, window="hann")
 
 
 @pytest.mark.parametrize("n1,n2", [(3000, 4096), (4096, 3000)])
-def test_welch_refuses_channels_of_unequal_length(n1, n2):
+def test_pair_refuses_channels_of_unequal_length(n1, n2):
+    # Welch takes pairs, so this is the refusal a block of unequal channels meets.
     rng = np.random.default_rng(0)
-    with pytest.raises(DomainError, match=f"channels of {n1} and {n2} samples"):
-        welch_blocks([(rng.standard_normal(n1), rng.standard_normal(n2))], FS, 256)
+    with pytest.raises(DomainError, match="^ch1, ch2, and common must have equal length$"):
+        make_pair(rng.standard_normal(n1), rng.standard_normal(n2))
 
 
 # ------------------------------------------------------------- scipy oracle
@@ -223,12 +224,12 @@ def test_welch_bits_do_not_depend_on_fft_batch(monkeypatch, cpus, parity_pair, r
     assert welch_bits(parity_pair)[:3] == segment_by_segment_spectra(parity_pair, SEG)
 
 
-def cut(series: list[np.ndarray], sizes: list[int]) -> list[tuple]:
-    """``series`` cut into consecutive blocks whose lengths cycle through ``sizes``."""
+def cut(series: list[np.ndarray], sizes: list[int]) -> list[TimeSeriesPair]:
+    """``series`` cut into consecutive pairs whose lengths cycle through ``sizes``."""
     blocks, start, i = [], 0, 0
     while start < len(series[0]):
         stop = start + sizes[i % len(sizes)]
-        blocks.append(tuple(ch[start:stop] for ch in series))
+        blocks.append(make_pair(*(ch[start:stop] for ch in series)))
         start, i = stop, i + 1
     return blocks
 
@@ -243,7 +244,7 @@ def test_streamed_welch_is_the_one_shot_welch(cpus, parity_pair, overlap, detren
     est = welch_csd(pair, SEG, overlap)
     sizes = [700, 0, 150_001, 1, 999, 0, 1, 40_000]
     threads_before = threading.active_count()
-    streamed = welch_blocks(cut([pair.ch1, pair.ch2], sizes), FS, SEG, overlap)
+    streamed = welch_blocks(cut([pair.ch1, pair.ch2], sizes), SEG, overlap)
     assert threading.active_count() == threads_before
     assert streamed.n_avg == est.n_avg == segment_count(pair.n_samples, SEG, overlap)
     for name in ("psd1", "psd2", "csd", "coherence"):
@@ -276,7 +277,7 @@ def test_welch_starts_no_thread(monkeypatch, parity_pair):
             counts.append(threading.active_count())
             yield block
 
-    welch_blocks(blocks(), FS, SEG)
+    welch_blocks(blocks(), SEG)
     counts.append(threading.active_count())
     assert counts == [threads_before] * 3
 
@@ -284,13 +285,13 @@ def test_welch_starts_no_thread(monkeypatch, parity_pair):
 def test_streamed_welch_rejects_too_few_samples():
     blocks = cut([np.zeros(1000), np.zeros(1000)], [300])
     with pytest.raises(DomainError, match="length 1000 is shorter than one segment"):
-        welch_blocks(blocks, FS, 1024)
+        welch_blocks(blocks, 1024)
     with pytest.raises(DomainError, match="length 0"):
-        welch_blocks([], FS, 1024)
+        welch_blocks([], 1024)
     # Refused before anything of segment length is made: a 2^40-sample
     # segment's window, work arrays or sums would take TiBs.
     with pytest.raises(DomainError, match="length 100 is shorter than one segment"):
-        welch_blocks([(np.zeros(100), np.zeros(100))], 1.0, 2**40)
+        welch_blocks([make_pair(np.zeros(100), np.zeros(100), 1.0)], 2**40)
 
 
 # ------------------------------------------------------------------ PSD level

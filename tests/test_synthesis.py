@@ -104,6 +104,11 @@ def test_config_validation():
         ExperimentConfig(seed=-1)
     with pytest.raises(DomainError):
         ExperimentConfig(seed=2**64)
+    # A bool is an int to Python, but it is refused as from_dict refuses it.
+    with pytest.raises(DomainError, match="^seed must be a 64-bit unsigned integer, got True$"):
+        ExperimentConfig(seed=True)
+    with pytest.raises(DomainError, match="^n_samples must be an integer >= 1024, got True$"):
+        ExperimentConfig(n_samples=True)
     with pytest.raises(DomainError):
         ExperimentConfig(holo_scale=-0.5)
     with pytest.raises(DomainError):
@@ -122,9 +127,9 @@ def test_config_validation():
 def test_config_refuses_what_welch_refuses(segment_length, overlap):
     # The config applies the Welch pass's own segmenting rules, so a run it
     # accepts is never refused halfway, and its message is the same.
-    pair = (np.zeros(4096), np.zeros(4096))
+    pair = TimeSeriesPair(FS, np.zeros(4096), np.zeros(4096), np.zeros(4096))
     with pytest.raises(DomainError) as welch:
-        welch_blocks([pair], FS, segment_length, overlap)
+        welch_blocks([pair], segment_length, overlap)
     with pytest.raises(DomainError) as config:
         ExperimentConfig(n_samples=4096, segment_length=segment_length, overlap=overlap)
     assert str(config.value) == str(welch.value)
