@@ -22,11 +22,10 @@ __version__ = "0.13.0"
 from .constants import CONSTANTS, PhysicalConstants, codata_constants
 from .detection import (
     DetectionReport,
-    integration_time_for,
     null_significance,
     predicted_snr,
 )
-from .errors import DomainError, UnreachableTargetError
+from .errors import DomainError
 from .model import (
     HUBBLE_RADIUS,
     SECONDS_PER_YEAR,
@@ -75,7 +74,6 @@ __all__ = [
     "SlitSetup",
     "SpectralEstimate",
     "TimeSeriesPair",
-    "UnreachableTargetError",
     "angular_uncertainty",
     "angular_variance",
     "autocorrelation",
@@ -86,7 +84,6 @@ __all__ = [
     "fraunhofer_pattern",
     "info_budget",
     "information_blurred_pattern",
-    "integration_time_for",
     "null_significance",
     "predicted_snr",
     "psd_model",

@@ -153,17 +153,17 @@ def cmd_slits(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = load_config(Path(args.config))
-    outdir = _resolve_outdir(args.output_dir)
     model = config.model()
     band = _parse_band(args.band) if args.band else (0.0, 1.0 / model.tau_c)
     outputs = {}
-    # Checked before any file is opened; no block is drawn yet.  So are the
-    # averages and the band, which the prediction takes on Welch's grid.
+    # Checked before the output directory is made; no block is drawn yet.  So
+    # are the averages and the band, which the prediction takes on Welch's grid.
     blocks = synthesize_blocks(config)
     n_avg = segment_count(config.n_samples, config.segment_length, config.overlap)
     check_averages(n_avg)
     prediction = predicted_snr(model, config.shot_asd, config.sample_rate, config.segment_length,
                                n_avg, band, config.holo_scale)
+    outdir = _resolve_outdir(args.output_dir)
     dump = (_Output(outdir / "timeseries.csv", config.n_samples, len(TIMESERIES.columns))
             if args.dump_timeseries else None)
     # Entered before the first block is drawn, so the CSV workers are forked

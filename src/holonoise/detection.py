@@ -33,15 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnreachableTargetError
+from .errors import DomainError
 from .model import HolographicModel, psd_model
 from .spectral import SpectralEstimate, hann_window, segment_step
 
 #: Minimum averages for the Gaussian-statistics regime.
 MIN_AVERAGES = 30
-
-#: Default detection threshold in standard deviations.
-SIGMA_THRESHOLD = 5.0
 
 
 @dataclass(frozen=True)
@@ -114,34 +111,6 @@ def predicted_snr(
     terms = np.zeros_like(s_h)
     np.divide(s_h * s_h, denom, out=terms, where=denom > 0.0)
     return math.sqrt(n_avg * float(terms.sum()))
-
-
-def integration_time_for(
-    model: HolographicModel,
-    shot_asd: float,
-    sample_rate: float,
-    segment_length: int,
-    band: tuple[float, float],
-    target_sigma: float,
-    overlap: float = 0.5,
-    holo_scale: float = 1.0,
-) -> float:
-    """Shortest integration time whose predicted SNR reaches ``target_sigma``, s.
-
-    Inverts the sqrt(n_avg) law in closed form and converts the resulting
-    segment count to the wall-clock span of overlapped segments.
-    """
-    if not math.isfinite(target_sigma) or target_sigma <= 0.0:
-        raise DomainError(f"target_sigma must be positive, got {target_sigma!r}")
-    snr_one = predicted_snr(
-        model, shot_asd, sample_rate, segment_length, 1, band, holo_scale
-    )
-    if snr_one == 0.0:
-        raise UnreachableTargetError(
-            f"model spectrum is zero across band {band!r}; target unreachable"
-        )
-    n_req = max(1, math.ceil((target_sigma / snr_one) ** 2))
-    return integration_time(n_req, segment_length, overlap, sample_rate)
 
 
 def band_statistic_null_variance(estimate: SpectralEstimate, idx: np.ndarray) -> float:

@@ -332,17 +332,21 @@ class _Input:
             raise DomainError(f"{what} has {self.rows} rows; {needs}")
 
 
-def load_config(path: Path) -> ExperimentConfig:
-    """Parse a JSON config file; unknown fields and bad JSON are rejected."""
+def _read_json(path: Path):
+    """The JSON value in ``path``; malformed JSON is refused in one line."""
     try:
-        raw = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, an integer too long, too deep
         raise DomainError(f"malformed JSON in {path}: {exc}") from exc
-    return ExperimentConfig.from_dict(raw)
+
+
+def load_config(path: Path) -> ExperimentConfig:
+    """Parse a JSON config file; unknown fields and bad JSON are rejected."""
+    return ExperimentConfig.from_dict(_read_json(path))
 
 
 def _report_dict(report) -> dict:
@@ -397,10 +401,10 @@ def _vouched(path: Path) -> tuple[str, bool]:
     manifest_path = path.parent / "manifest.json"
     if not manifest_path.is_file():
         return digest, False
-    try:
-        outputs = json.loads(manifest_path.read_text()).get("outputs")
-    except (json.JSONDecodeError, UnicodeDecodeError, AttributeError) as exc:
-        raise DomainError(f"{manifest_path} is not a readable manifest") from exc
+    manifest = _read_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise DomainError(f"manifest {manifest_path} must be a JSON object")
+    outputs = manifest.get("outputs")
     if not isinstance(outputs, dict) or path.name not in outputs:
         return digest, False
     if outputs[path.name] != digest:

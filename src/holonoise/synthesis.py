@@ -102,6 +102,17 @@ class ExperimentConfig:
     overlap: float = 0.5          # Welch segment overlap fraction
 
     def __post_init__(self):
+        # A float field takes any number but a bool, and stores it as a float.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float):
+                refused = DomainError(f"config field {f.name} must be a number, got {value!r}")
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise refused
+                try:
+                    object.__setattr__(self, f.name, float(value))
+                except OverflowError as exc:  # an integer past the float range
+                    raise refused from exc
         if not math.isfinite(self.arm_length) or self.arm_length <= 0.0:
             raise DomainError(f"arm_length must be positive, got {self.arm_length!r}")
         if not math.isfinite(self.shot_asd) or self.shot_asd < 0.0:
@@ -140,19 +151,7 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise DomainError(f"unknown config fields: {', '.join(unknown)}")
-        kwargs = dict(raw)
-        # A field's kind is its default's: int takes JSON integers, float any number.
-        for f in fields(cls):
-            kind = type(f.default)
-            v = kwargs.setdefault(f.name, f.default)
-            expected = "an integer" if kind is int else "a number"
-            if isinstance(v, bool) or not isinstance(v, (int, kind)):
-                raise DomainError(f"config field {f.name} must be {expected}, got {v!r}")
-            try:
-                kwargs[f.name] = kind(v)
-            except OverflowError as exc:  # an integer past the float range
-                raise DomainError(f"config field {f.name} must be {expected}, got {v!r}") from exc
-        return cls(**kwargs)
+        return cls(**raw)
 
 
 @dataclass(frozen=True)

@@ -665,14 +665,14 @@ def test_simulate_refuses_an_unreadable_config_in_one_line(tmp_path, capsys, con
 
 def test_simulate_too_short_for_the_window_writes_nothing(tmp_path, capsys):
     # At 4 GHz the 40 m window spans 1068 samples, so 1024 samples cannot
-    # hold two of them; the check comes before any output is opened.
+    # hold two of them; the check comes before the output directory is made.
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(SMALL_CONFIG, n_samples=1024, sample_rate=4e9)))
     run = tmp_path / "run"
     assert main(["simulate", "--config", str(path), "--output-dir", str(run),
                  "--dump-timeseries"]) == 1
     assert "too short" in capsys.readouterr().err
-    assert list(run.iterdir()) == []
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("config,band,message", [
@@ -691,7 +691,7 @@ def test_simulate_refuses_a_band_or_averages_before_writing(tmp_path, capsys, co
                  "--dump-timeseries", *band]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
-    assert list(run.iterdir()) == []
+    assert not run.exists()
 
 
 def test_simulate_refuses_a_segment_length_welch_refuses_before_writing(tmp_path, capsys):
@@ -990,14 +990,20 @@ def test_detect_reports_what_vouched_for_its_input(tmp_path, config_path):
     assert reports[0]["sigma_level"] == reports[1]["sigma_level"]
 
 
-def test_detect_refuses_an_unreadable_manifest(tmp_path, config_path, capsys):
+@pytest.mark.parametrize("content", [
+    b"{not json", b"\xff{}", b"[" * 100000, b'{"outputs": ' + b"1" * 5000 + b"}", b"[1]",
+], ids=["json", "utf-8", "deep", "long-integer", "not-an-object"])
+def test_detect_refuses_an_unreadable_manifest(tmp_path, config_path, capsys, content):
+    # The manifest is read as the config is: the deep nesting and the long
+    # integer used to end in a traceback (RecursionError and ValueError).
     rundir = tmp_path / "run"
     assert main(["simulate", "--config", str(config_path),
                  "--output-dir", str(rundir)]) == 0
-    (rundir / "manifest.json").write_text("{not json")
+    (rundir / "manifest.json").write_bytes(content)
     assert main(["detect", "--estimate", str(rundir / "spectra.csv"),
                  "--band", "0:3.7e6"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_analyze_without_segmenting_headers_is_refused(tmp_path):

@@ -3,9 +3,11 @@
 hypothesis drives ``main(argv)`` in-process, derandomized so every run tries
 the same inputs.  One test draws argv for every subcommand, its floats
 taken from the edges of the float range (0, +-inf, NaN, 1e+-300, the least subnormal) as well as
-anywhere in it; the other feeds ``analyze`` and ``detect`` byte-level
+anywhere in it; the others feed ``analyze`` and ``detect`` byte-level
 corruptions of a small ``simulate --dump-timeseries`` run: a truncation, a
-flipped digit, an edited header value or a duplicated line.  Every run must
+flipped digit, an edited header value or a duplicated line of a dump or of
+spectra, and a truncation, a flipped byte, or a line duplicated once or
+repeated 2^17 times, of the manifest beside intact spectra.  Every run must
 exit 0, 1, 2 or 64, print no traceback, and explain a non-zero exit in
 exactly one stderr line (after the usage, for a usage error); what a
 successful run prints must hold no non-finite number.  A NumPy
@@ -125,20 +127,26 @@ def test_argv_never_ends_in_a_traceback(workdir, command):
 
 
 @st.composite
-def corrupted(draw, data: bytes) -> bytes:
-    """``data`` with one truncation, flipped digit, header value or duplicated line."""
-    kind = draw(st.sampled_from(["truncate", "digit", "header", "duplicate"]))
+def corrupted(draw, data: bytes, kinds=("truncate", "digit", "header", "duplicate")) -> bytes:
+    """``data`` with one truncation, flipped digit or byte, header value, or
+    line duplicated once or repeated 2^17 times, of the ``kinds`` named."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "truncate":
         return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(data) - 1))
+        new = draw(st.integers(0, 255).filter(lambda byte: byte != data[i]))
+        return data[:i] + bytes([new]) + data[i + 1 :]
     if kind == "digit":
         at = re.compile(rb"\d").search(data, draw(st.integers(0, len(data) - 1)))
         i = at.start() if at else data.index(b"0")
         new = draw(st.sampled_from(b"0123456789".replace(data[i : i + 1], b"")))
         return data[:i] + bytes([new]) + data[i + 1 :]
     lines = data.splitlines(keepends=True)
-    if kind == "duplicate":
+    if kind in ("duplicate", "repeat"):
         i = draw(st.integers(0, len(lines) - 1))
-        return b"".join(lines[: i + 1] + lines[i:])
+        copies = 1 if kind == "duplicate" else 1 << 17
+        return b"".join(lines[: i + 1] + lines[i : i + 1] * copies + lines[i + 1 :])
     fields = [i for i, line in enumerate(lines) if line.startswith(b"# ") and b" = " in line]
     i = draw(st.sampled_from(fields))
     value = draw(st.one_of(FLOATS.map(repr), st.integers().map(str), st.text(max_size=6)))
@@ -166,5 +174,21 @@ def test_corrupted_files_never_end_in_a_traceback(workdir):
                  "--output", str(bad / "analyzed.csv")])
         else:
             run(["detect", "--estimate", str(bad / name), "--band", "0:1e7"])
+
+    check()
+
+
+def test_corrupted_manifest_never_ends_in_a_traceback(workdir):
+    manifest = (workdir / "run" / "manifest.json").read_bytes()
+    # Intact spectra, which the manifest vouches for until it is corrupted.
+    vouched = workdir / "vouched"
+    vouched.mkdir()
+    (vouched / "spectra.csv").write_bytes((workdir / "run" / "spectra.csv").read_bytes())
+
+    @settings(max_examples=150, deadline=None)
+    @given(corrupted(manifest, ("truncate", "flip", "duplicate", "repeat")))
+    def check(data):
+        (vouched / "manifest.json").write_bytes(data)
+        run(["detect", "--estimate", str(vouched / "spectra.csv"), "--band", "0:1e7"])
 
     check()

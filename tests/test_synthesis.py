@@ -120,6 +120,14 @@ def test_config_validation():
     with pytest.raises(DomainError):
         # Undersampled: tau_c at 1 m is 6.7 ns, needs fs >= 6e8.
         ExperimentConfig(arm_length=1.0, sample_rate=5e7)
+    # The field types are checked on construction, not only on the JSON path.
+    with pytest.raises(DomainError, match="^config field holo_scale must be a number, got True$"):
+        ExperimentConfig(holo_scale=True)
+    with pytest.raises(DomainError, match="^config field arm_length must be a number, got '40'$"):
+        ExperimentConfig(arm_length="40")
+    assert ExperimentConfig(arm_length=40).as_dict() == ExperimentConfig.from_dict(
+        {"arm_length": 40}).as_dict() == ExperimentConfig().as_dict()
+    assert type(ExperimentConfig(arm_length=40).as_dict()["arm_length"]) is float
 
 
 @pytest.mark.parametrize("segment_length,overlap",
