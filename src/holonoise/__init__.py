@@ -43,10 +43,8 @@ from .model import (
 )
 from .slits import (
     DISTINGUISHABILITY_THRESHOLD,
-    PatternComparison,
     SlitSetup,
     distinguishability,
-    fraunhofer_pattern,
     information_blurred_pattern,
     separation_sweep,
     threshold_crossing,
@@ -68,7 +66,6 @@ __all__ = [
     "HUBBLE_RADIUS",
     "HolographicModel",
     "InfoBudget",
-    "PatternComparison",
     "PhysicalConstants",
     "SECONDS_PER_YEAR",
     "SlitSetup",
@@ -81,7 +78,6 @@ __all__ = [
     "distinguishability",
     "drift_speed",
     "exact_rms",
-    "fraunhofer_pattern",
     "info_budget",
     "information_blurred_pattern",
     "null_significance",

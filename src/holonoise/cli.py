@@ -35,7 +35,7 @@ from .model import (
     psd_model,
     transverse_uncertainty,
 )
-from .slits import SlitSetup, fraunhofer_pattern, information_blurred_pattern, separation_sweep
+from .slits import SlitSetup, information_blurred_pattern, separation_sweep
 from .spectral import segment_count, welch_blocks
 from .synthesis import synthesize_blocks
 
@@ -118,10 +118,13 @@ def cmd_info(args) -> int:
 
 
 def cmd_slits(args) -> int:
+    if args.sweep and (args.separation is not None or args.blurred):
+        args.parser.error("--sweep takes no --separation or --blurred: "
+                          "it blurs every pattern and sets its own separations")
     wavelength = args.wavelength if args.wavelength is not None else CONSTANTS.l_P
     slit_width = args.slit_width if args.slit_width is not None else wavelength
     setup = SlitSetup(
-        separation=args.separation,
+        separation=args.separation if args.separation is not None else 0.0,
         slit_width=slit_width,
         screen_distance=args.screen_distance,
         wavelength=wavelength,
@@ -137,7 +140,7 @@ def cmd_slits(args) -> int:
             "wavelength_m": setup.wavelength,
         }
     else:
-        pattern = (information_blurred_pattern if args.blurred else fraunhofer_pattern)(setup)
+        pattern = information_blurred_pattern(setup, None if args.blurred else 0.0)
         columns = {"angle_rad": setup.angles(), "intensity": pattern}
         meta = {
             "separation_m": setup.separation,
@@ -228,14 +231,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("slits", help="two-slit patterns and distinguishability sweeps")
     p.add_argument("--screen-distance", type=float, required=True, help="m")
-    p.add_argument("--separation", type=float, default=0.0, help="slit separation, m")
+    p.add_argument("--separation", type=float, default=None, help="slit separation, m (default 0)")
     p.add_argument("--slit-width", type=float, default=None, help="m (default: wavelength)")
     p.add_argument("--wavelength", type=float, default=None, help="m (default: c t_P)")
     p.add_argument("--n-angles", type=int, default=4096)
     p.add_argument("--blurred", action="store_true", help="apply the information blur")
     p.add_argument("--sweep", action="store_true", help="emit the separation sweep instead")
     p.add_argument("--output", help="write to this file instead of stdout")
-    p.set_defaults(func=cmd_slits)
+    p.set_defaults(func=cmd_slits, parser=p)
 
     p = sub.add_parser("simulate", help="synthesize a pair, estimate spectra, detect")
     p.add_argument("--config", required=True, help="JSON experiment configuration")
@@ -261,15 +264,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         sys.stderr.write(exc.usage)
         sys.stderr.write(f"error: {exc}\n")
         return 64
-    try:
-        return args.func(args)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

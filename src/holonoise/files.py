@@ -30,6 +30,7 @@ import json
 import math
 import mmap
 import os
+import stat
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
@@ -140,6 +141,9 @@ class _Output:
         self.puts = 0
 
     def __enter__(self) -> "_Output":
+        # Python sets sys.stdout to None when it starts with fd 1 closed.
+        if self.path is None and sys.stdout is None:
+            raise OSError("stdout is closed")
         with contextlib.ExitStack() as stack:
             if self.columns:
                 self.ring = mmap.mmap(-1, self.formatter.in_flight * self.slot_bytes)
@@ -247,7 +251,7 @@ class _Input:
 
     def __enter__(self) -> "_Input":
         with contextlib.ExitStack() as stack:
-            self.handle = stack.enter_context(self.path.open("rb"))
+            self.handle = stack.enter_context(_regular(self.path).open("rb"))
             start = 0
             for line in self.handle:
                 if not line.startswith(b"#"):
@@ -332,10 +336,18 @@ class _Input:
             raise DomainError(f"{what} has {self.rows} rows; {needs}")
 
 
+def _regular(path: Path) -> Path:
+    """``path``, refused unless it is a regular file: reading a device such as
+    /dev/zero never ends, and opening a FIFO blocks until a writer comes."""
+    if not stat.S_ISREG(path.stat().st_mode):
+        raise OSError(f"{path} is not a regular file")
+    return path
+
+
 def _read_json(path: Path):
     """The JSON value in ``path``; malformed JSON is refused in one line."""
     try:
-        return json.loads(path.read_text())
+        return json.loads(_regular(path).read_text())
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -394,7 +406,7 @@ def _vouched(path: Path) -> tuple[str, bool]:
     edited with it.
     """
     sha256 = hashlib.sha256()
-    with path.open("rb") as handle:
+    with _regular(path).open("rb") as handle:
         while block := handle.read(1 << 20):
             sha256.update(block)
     digest = sha256.hexdigest()

@@ -82,15 +82,6 @@ class SlitSetup:
         return np.linspace(-half, half, self.n_angles)
 
 
-@dataclass(frozen=True)
-class PatternComparison:
-    """Distance between a blurred double-slit pattern and its envelope."""
-
-    separation: float      # slit separation probed, m
-    bound: float           # transverse uncertainty at this geometry, m
-    distance_metric: float # in [0, 1]; 0 means indistinguishable
-
-
 def _normalize(intensity: np.ndarray) -> np.ndarray:
     total = intensity.sum()
     if not (math.isfinite(total) and total > 0.0):
@@ -98,23 +89,15 @@ def _normalize(intensity: np.ndarray) -> np.ndarray:
     return intensity / total
 
 
-def fraunhofer_pattern(setup: SlitSetup) -> np.ndarray:
-    """Unit-sum two-slit intensity on the angle grid.
-
-    I(theta) ~ sinc^2(a sin(theta)/lambda) cos^2(pi d sin(theta)/lambda)
-    with slit width a and separation d; separation 0 reduces to the pure
-    single-slit envelope.  It is the blurred pattern at blur 0, whose
-    damping factor is exactly 1.
-    """
-    return information_blurred_pattern(setup, 0.0)
-
-
 def information_blurred_pattern(setup: SlitSetup, blur: float | None = None) -> np.ndarray:
     """Unit-sum pattern of the aperture convolved with a Gaussian blur.
 
-    ``blur`` is the Gaussian standard deviation in metres and defaults to
-    transverse_uncertainty(screen_distance); blur = 0 recovers
-    `fraunhofer_pattern` exactly.
+    I(theta) ~ sinc^2(a sin(theta)/lambda) cos^2(pi d sin(theta)/lambda)
+    exp(-(2 pi blur sin(theta)/lambda)^2) with slit width a and separation
+    d; separation 0 gives the single-slit envelope.  ``blur`` is the
+    Gaussian standard deviation in metres and defaults to
+    transverse_uncertainty(screen_distance); at blur 0 the damping factor
+    is exactly 1, which gives the sharp Fraunhofer pattern.
     """
     if blur is None:
         blur = transverse_uncertainty(setup.screen_distance)
@@ -142,57 +125,43 @@ def _pattern_distance(p: np.ndarray, q: np.ndarray) -> float:
     return math.sqrt(max(0.0, 1.0 - r * r))
 
 
-def distinguishability(setup: SlitSetup, blur: float | None = None) -> PatternComparison:
-    """Compare the blurred pattern against the blurred zero-separation one."""
-    if blur is None:
-        blur = transverse_uncertainty(setup.screen_distance)
-    metric = _pattern_distance(
-        information_blurred_pattern(setup, blur),
-        information_blurred_pattern(replace(setup, separation=0.0), blur),
-    )
-    return PatternComparison(
-        separation=setup.separation,
-        bound=transverse_uncertainty(setup.screen_distance),
-        distance_metric=metric,
-    )
+def _distances(setup: SlitSetup, separations, blur: float) -> np.ndarray:
+    """Distance metric of the pattern at each of ``separations`` from the
+    single-slit one, both at ``blur``, against one shared reference."""
+    single = information_blurred_pattern(replace(setup, separation=0.0), blur)
+    return np.array([
+        _pattern_distance(information_blurred_pattern(replace(setup, separation=float(d)), blur),
+                          single)
+        for d in separations
+    ])
 
 
-def separation_sweep(
-    setup: SlitSetup,
-    span_factor: float = 30.0,
-    n_points: int = 41,
-) -> tuple[np.ndarray, np.ndarray]:
+def distinguishability(setup: SlitSetup) -> float:
+    """Distance metric of the blurred pattern from the blurred zero-separation
+    one, in [0, 1]; 0 means indistinguishable."""
+    blur = transverse_uncertainty(setup.screen_distance)
+    return float(_distances(setup, [setup.separation], blur)[0])
+
+
+def separation_sweep(setup: SlitSetup) -> tuple[np.ndarray, np.ndarray]:
     """Distance metric over a log-spaced separation sweep around the bound.
 
-    Returns (separations, metrics); the sweep covers
-    [bound / span_factor, bound * span_factor].  Each point is
-    `distinguishability` at the bound's blur, against one shared reference.
+    Returns (separations, metrics) at 41 separations over [bound / 30,
+    bound * 30]; each metric is `distinguishability` at that separation.
     """
     bound = transverse_uncertainty(setup.screen_distance)
-    if span_factor <= 1.0 or n_points < 3:
-        raise DomainError("sweep needs span_factor > 1 and n_points >= 3")
-    separations = np.geomspace(bound / span_factor, bound * span_factor, n_points)
-    single = information_blurred_pattern(replace(setup, separation=0.0), bound)
-    metrics = np.empty_like(separations)
-    for i, d in enumerate(separations):
-        probe = replace(setup, separation=float(d))
-        metrics[i] = _pattern_distance(information_blurred_pattern(probe, bound), single)
-    return separations, metrics
+    separations = np.geomspace(bound / 30.0, bound * 30.0, 41)
+    return separations, _distances(setup, separations, bound)
 
 
-def threshold_crossing(
-    setup: SlitSetup,
-    threshold: float = DISTINGUISHABILITY_THRESHOLD,
-    span_factor: float = 30.0,
-    n_points: int = 41,
-) -> float:
-    """Separation at which the sweep first crosses ``threshold``, in m.
+def threshold_crossing(setup: SlitSetup) -> float:
+    """Separation at which the sweep first crosses DISTINGUISHABILITY_THRESHOLD, in m.
 
     Log-linear interpolation between the bracketing sweep points.  Raises
     DomainError when the sweep never reaches the threshold.
     """
-    seps, metrics = separation_sweep(setup, span_factor, n_points)
-    above = np.nonzero(metrics >= threshold)[0]
+    seps, metrics = separation_sweep(setup)
+    above = np.nonzero(metrics >= DISTINGUISHABILITY_THRESHOLD)[0]
     if len(above) == 0:
         raise DomainError("sweep never crosses the distinguishability threshold")
     j = int(above[0])
@@ -200,5 +169,5 @@ def threshold_crossing(
         return float(seps[0])
     x0, x1 = math.log(seps[j - 1]), math.log(seps[j])
     y0, y1 = metrics[j - 1], metrics[j]
-    t = (threshold - y0) / (y1 - y0)
+    t = (DISTINGUISHABILITY_THRESHOLD - y0) / (y1 - y0)
     return math.exp(x0 + t * (x1 - x0))

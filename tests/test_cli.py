@@ -2,8 +2,9 @@
 
 Everything runs in-process through ``main(argv)`` so exit codes and file
 outputs are asserted directly, except the checks that need a fresh
-interpreter (no traceback on stderr, what ``import holonoise.cli`` loads and
-starts, the same bytes on one BLAS thread and on two);
+interpreter (no traceback on stderr, a closed stdout, a reader that could
+hang, what ``import holonoise.cli`` loads and starts, the same bytes on one
+BLAS thread and on two);
 one smoke test exercises the installed console script if present.  Simulation configs are kept small (2^15
 samples); the CSV block and byte-range tests share one 3 * 2^16-row, ~19 MB table,
 and the streamed ``analyze`` tests two dumps of 2^18 and 2^20 samples
@@ -21,6 +22,7 @@ import shutil
 import subprocess
 import sys
 import time
+import types
 import warnings
 
 import numpy as np
@@ -406,6 +408,18 @@ def test_slits_sweep(tmp_path):
     assert data[0, 2] == pytest.approx(4.0202674338015744e-18, rel=1e-15)
     # metric rises through the sweep.
     assert data[-1, 1] > 0.5 > data[0, 1]
+
+
+@pytest.mark.parametrize("flags", [["--separation", "5"], ["--separation", "0"], ["--blurred"]])
+def test_slits_sweep_refuses_the_flags_it_would_ignore(flags, capsys):
+    # The sweep sets its own separations and blurs every pattern; these
+    # flags used to be dropped, with exit 0 and the standard sweep.
+    assert main(["slits", "--screen-distance", "1", "--sweep", *flags]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: holonoise slits")
+    assert err.splitlines()[-1] == ("error: --sweep takes no --separation or --blurred: "
+                                    "it blurs every pattern and sets its own separations")
 
 
 @pytest.mark.parametrize("argv,reason", [
@@ -1222,6 +1236,48 @@ def test_usage_errors_exit_64(capsys):
     assert "usage" in err.lower()
 
 
+#: Runs the command in its arguments in a fresh interpreter, its address
+#: space held under 2 GiB, so a reader that buffers an endless input fails
+#: with a MemoryError rather than taking the host's memory.
+MEMORY_CAPPED = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+from holonoise.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("source", ["/dev/zero", "fifo"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "PATH", "--output-dir", "OUT"],
+    ["analyze", "--timeseries", "PATH"],
+    ["detect", "--estimate", "PATH", "--band", "0:1e6"],
+], ids=["simulate", "analyze", "detect"])
+def test_readers_refuse_a_path_that_is_not_a_regular_file(tmp_path, argv, source):
+    # Reading /dev/zero never ended, or ran out of memory in one header
+    # line, and opening a FIFO without a writer blocked for good; the
+    # timeout turns such a hang into a failure.
+    if source == "fifo":
+        source = str(tmp_path / "fifo")
+        os.mkfifo(source)
+    argv = [{"PATH": source, "OUT": str(tmp_path / "o")}.get(arg, arg) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", MEMORY_CAPPED, *argv], capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"i/o error: {source} is not a regular file\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_closed_stdout_is_an_io_error():
+    # Python starts with sys.stdout set to None when fd 1 is closed, and
+    # writing to it ended in an AttributeError traceback.
+    script = ("import os, sys\nos.close(1)\n"
+              "os.execv(sys.executable, [sys.executable, '-m', 'holonoise.cli', 'constants'])\n")
+    proc = run_python("-c", script)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "i/o error: stdout is closed\n"
+
+
 # -------------------------------------------------------------- config loader
 
 
@@ -1230,6 +1286,15 @@ def test_load_config_round_trip(tmp_path):
     path.write_text(json.dumps(SMALL_CONFIG))
     cfg = load_config(path)
     assert cfg == ExperimentConfig(**SMALL_CONFIG)
+
+
+def test_the_package_exports_exactly_its_public_names():
+    # A name deleted from a module but left in __all__ breaks
+    # ``from holonoise import *``; one added but not listed is not exported.
+    assert [name for name in holonoise.__all__ if not hasattr(holonoise, name)] == []
+    public = [name for name, value in vars(holonoise).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(public) == sorted(holonoise.__all__)
 
 
 def test_cli_import_does_not_load_scipy_signal(tmp_path, config_path):

@@ -19,7 +19,6 @@ from holonoise import (
     DomainError,
     SlitSetup,
     distinguishability,
-    fraunhofer_pattern,
     information_blurred_pattern,
     separation_sweep,
     threshold_crossing,
@@ -96,14 +95,14 @@ def test_angle_grid_symmetric():
 
 def test_pattern_unit_sum_and_nonnegative():
     for sep in (0.0, BOUND_1M, 50 * BOUND_1M):
-        p = fraunhofer_pattern(gentle_setup(sep))
+        p = information_blurred_pattern(gentle_setup(sep), 0.0)
         assert p.sum() == pytest.approx(1.0, rel=1e-12)
         assert np.all(p >= 0.0)
 
 
 def test_zero_separation_is_single_slit_envelope():
     s = gentle_setup(0.0)
-    p = fraunhofer_pattern(s)
+    p = information_blurred_pattern(s, 0.0)
     sin_t = np.sin(s.angles())
     envelope = np.sinc(s.slit_width * sin_t / s.wavelength) ** 2
     envelope /= envelope.sum()
@@ -122,7 +121,7 @@ def test_first_interference_minimum_at_one_sixth():
         n_angles=8193,
         angle_span=0.7,
     )
-    pattern = fraunhofer_pattern(s)
+    pattern = information_blurred_pattern(s, 0.0)
     ang = s.angles()
     positive = ang > 0
     half, ha = pattern[positive], ang[positive]
@@ -142,17 +141,10 @@ def test_sharp_pattern_is_the_undamped_product_bit_for_bit(separation):
     envelope = np.sinc(s.slit_width * sin_t / s.wavelength) ** 2
     fringes = np.cos(np.pi * s.separation * sin_t / s.wavelength) ** 2
     intensity = envelope * fringes
-    assert np.array_equal(fraunhofer_pattern(s), intensity / intensity.sum())
+    assert np.array_equal(information_blurred_pattern(s, 0.0), intensity / intensity.sum())
 
 
 # ------------------------------------------------------------ blurred patterns
-
-
-def test_blur_zero_recovers_sharp_pattern():
-    s = gentle_setup(100 * BOUND_1M)
-    sharp = fraunhofer_pattern(s)
-    recovered = information_blurred_pattern(s, blur=0.0)
-    assert np.max(np.abs(recovered - sharp)) <= 1e-6 * np.max(sharp)
 
 
 def test_blurred_pattern_unit_sum():
@@ -171,22 +163,19 @@ def test_blur_rejects_negative():
 
 def test_zero_separation_metric_is_zero():
     # sqrt(1 - r^2) amplifies roundoff near r = 1 to sqrt(eps) ~ 1e-8.
-    comparison = distinguishability(gentle_setup(0.0))
-    assert comparison.distance_metric == pytest.approx(0.0, abs=1e-6)
+    assert distinguishability(gentle_setup(0.0)) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_sub_bound_separation_indistinguishable():
-    comparison = distinguishability(gentle_setup(BOUND_1M / 100))
-    assert comparison.distance_metric < 0.01
-    assert comparison.bound == pytest.approx(BOUND_1M, rel=1e-15)
+    assert distinguishability(gentle_setup(BOUND_1M / 100)) < 0.01
 
 
 def test_super_bound_separation_distinguishable():
-    comparison = distinguishability(gentle_setup(100 * BOUND_1M))
-    assert comparison.distance_metric > 0.5
+    metric = distinguishability(gentle_setup(100 * BOUND_1M))
+    assert metric > 0.5
     # Fast-fringe asymptote: cos^2 fringes against a smooth envelope give
     # cosine similarity sqrt(2/3), hence distance sqrt(1/3).
-    assert comparison.distance_metric == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-6)
+    assert metric == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-6)
 
 
 def test_sweep_monotone_nondecreasing():
@@ -199,9 +188,9 @@ def test_sweep_monotone_nondecreasing():
 
 def test_sweep_is_distinguishability_per_point_bit_for_bit():
     # The sweep shares one single-slit reference among its points.
-    seps, metrics = separation_sweep(gentle_setup(0.0), n_points=9)
+    seps, metrics = separation_sweep(gentle_setup(0.0))
     for d, metric in zip(seps, metrics):
-        assert metric == distinguishability(gentle_setup(float(d))).distance_metric
+        assert metric == distinguishability(gentle_setup(float(d)))
 
 
 def test_sweep_spans_bound():
@@ -230,10 +219,9 @@ def test_crossing_sqrt_scaling_decade():
 
 
 def test_threshold_crossing_unreachable():
-    # A sweep confined far below the bound never crosses.
-    setup = gentle_setup(0.0)
-    with pytest.raises(DomainError):
-        threshold_crossing(setup, threshold=0.99)
+    # An angle grid too narrow to hold a fringe: the sweep peaks at 0.067.
+    with pytest.raises(DomainError, match="never crosses"):
+        threshold_crossing(gentle_setup(0.0, angle_span=0.01))
 
 
 def test_default_threshold_value():
@@ -258,5 +246,5 @@ def test_property_metric_bounded(log_sep_factor, L):
         wavelength=lam,
         n_angles=1024,
     )
-    metric = distinguishability(setup).distance_metric
+    metric = distinguishability(setup)
     assert 0.0 <= metric <= 1.0
